@@ -30,7 +30,6 @@ from .bounds import (
     upper_bound_rounds,
 )
 from .core import (
-    CallIntent,
     CallKind,
     CallOutcome,
     CallRecord,
@@ -41,8 +40,6 @@ from .core import (
     RUN_STALLED,
     SimulationState,
     TraceSummary,
-    apply_call,
-    collect_intents,
     default_round_cap,
     execute_round,
     init_simulation,
@@ -82,7 +79,6 @@ from .verify import VerificationReport, verify_summary_against_trace, verify_tra
 
 __all__ = [
     "BoundsReport",
-    "CallIntent",
     "CallKind",
     "CallOutcome",
     "CallRecord",
@@ -104,10 +100,8 @@ __all__ = [
     "SweepResult",
     "TraceSummary",
     "VerificationReport",
-    "apply_call",
     "bounds_report",
     "classical_push_estimate",
-    "collect_intents",
     "compare_protocols",
     "default_round_cap",
     "default_round_slack",

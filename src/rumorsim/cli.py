@@ -32,8 +32,8 @@ from .protocols import protocol_from_name, protocol_name
 from .traceio import (
     TraceFormatError,
     format_json,
+    format_jsonl,
     format_rows_csv,
-    json_value,
     read_summary_json,
     read_trace_csv,
     summary_to_dict,
@@ -285,11 +285,7 @@ def _format_sweep(result, fmt: str) -> str:
     if fmt == FORMAT_STRUCTURED:
         return format_json(_sweep_structured(result))
     if fmt == FORMAT_LINES:
-        lines = []
-        for row in result.rows():
-            record = dict(zip(result.ROW_HEADER, row))
-            lines.append(json.dumps(json_value(record)))
-        return "\n".join(lines) + "\n"
+        return format_jsonl(dict(zip(result.ROW_HEADER, row)) for row in result.rows())
     raise UsageError(f"unknown output format {fmt!r}")
 
 

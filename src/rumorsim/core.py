@@ -16,9 +16,15 @@ the budget is spent.  The starting node walks its own successors first
 and its first such encounter is free (it only ends the initial walk).
 
 All randomness is drawn from one seeded generator in a fixed order
-(target draws while intents are collected, in ascending caller id order,
-then the round's serialization permutation), so a given configuration
+(the round's target draws, in ascending caller id order, then the
+round's serialization permutation), so a given configuration
 always reproduces the same call sequence bit for bit.
+
+Each protocol's rules live in one private rules object: the start node's
+round-0 setup, the round's target draws, and the callers' state update
+once the round's outcomes are known.  ``execute_round`` is the one round
+kernel.  The test suite keeps a per-call statement of the same semantics
+(``tests/reference_engine.py``) as the oracle the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -116,13 +121,6 @@ class NodeState:
 
 
 @dataclass(frozen=True)
-class CallIntent:
-    caller: int
-    target: int
-    kind: CallKind
-
-
-@dataclass(frozen=True)
 class CallRecord:
     round: int
     caller: int
@@ -138,7 +136,6 @@ class RoundReport:
 
     round: int
     calls_made: int
-    newly_informed: tuple[int, ...]
     stalled: bool
 
 
@@ -172,19 +169,189 @@ def default_round_cap(n: int) -> int:
     return math.ceil(10 * (math.log2(n) + math.log(n) + 10))
 
 
-class _NodeView(Sequence):
-    """Lazy sequence of NodeState snapshots."""
+# -- protocol rules ----------------------------------------------------------
 
-    def __init__(self, state: "SimulationState"):
-        self._state = state
 
-    def __len__(self) -> int:
-        return self._state.n
+class _Rules:
+    """One protocol's rules; ``SimulationState`` holds exactly one.
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._state.node(j) for j in range(*i.indices(len(self)))]
-        return self._state.node(i)
+    The round kernel updates status, informed_at and informer itself and
+    leaves everything protocol-specific to these operations.
+    """
+
+    def setup(self, state: SimulationState) -> None:
+        """Round-0 state of the start node."""
+
+    def draw(self, state: SimulationState, callers: np.ndarray):
+        """(targets, kinds) for the round's callers, given in ascending id
+        order; every random draw of the round before the serialization
+        permutation happens here, in that order."""
+        raise NotImplementedError
+
+    def settle(self, state, callers, targets, informed, already, crashed) -> None:
+        """Update the callers' protocol state after the round's outcomes.
+
+        ``callers`` and ``targets`` are in serial order; the three boolean
+        masks mark the informing, encounter and crashed-target calls.
+        """
+        raise NotImplementedError
+
+    def node_fields(self, state: SimulationState, i: int):
+        """(mode, list_position, call_sequence) of node ``i``."""
+        mode = state._mode[i]
+        if mode == _M_SEQ:
+            return Sequential(int(state._next_target[i])), None, None
+        if mode == _M_PENDING:
+            return PendingRandom(), None, None
+        return None, None, None
+
+
+class _HybridRules(_Rules):
+    """Walk the cyclic order; an encounter costs one budget unit and sends
+    the caller to a random restart, or stops it once the budget is spent."""
+
+    def __init__(self, stop_budget: int):
+        self.stop_budget = stop_budget
+
+    def setup(self, state):
+        state._mode[state.start] = _M_SEQ
+        state._next_target[state.start] = successor(state.start, state.n)
+
+    def draw(self, state, callers):
+        pending = state._mode[callers] == _M_PENDING
+        targets = state._next_target[callers]
+        targets[pending] = state._draw_random_targets(callers[pending])
+        kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
+        kinds[pending] = _K_RANDOM
+        start = state.start
+        if (
+            state._status[start] == _INFORMED
+            and state._mode[start] == _M_SEQ
+            and state._encounters[start] == 0
+        ):
+            kinds[callers == start] = _K_INITIAL
+        return targets, kinds
+
+    def settle(self, state, callers, targets, informed, already, crashed):
+        n = state.n
+        # Freshly informed nodes open with a random call next round; only
+        # the starting node begins on its own successor run.
+        new_targets = targets[informed]
+        state._mode[new_targets] = _M_PENDING
+
+        # Each caller calls exactly once per round, so the outcome groups
+        # partition the callers and the updates below are independent.
+        ic = callers[informed]
+        state._mode[ic] = _M_SEQ
+        state._next_target[ic] = (new_targets + 1) % n
+
+        ac = callers[already]
+        bumped = state._encounters[ac] + 1
+        state._encounters[ac] = bumped
+        # The starting node's first encounter only ends its initial walk.
+        stop = bumped >= self.stop_budget + (ac == state.start)
+        state._status[ac[stop]] = _STOPPED
+        state._mode[ac] = np.where(stop, _M_NONE, _M_PENDING)
+        state._next_target[ac] = -1
+
+        # A crashed target costs no budget: walkers step past it, random
+        # callers stay pending and redraw next round.
+        cc = callers[crashed]
+        ct = targets[crashed]
+        walker = state._mode[cc] == _M_SEQ
+        state._next_target[cc[walker]] = (ct[walker] + 1) % n
+
+
+class _SharedListRules(_Rules):
+    """Quasirandom with identical lists: walk the shared cyclic order from
+    a uniformly random position, one step per call, never stopping."""
+
+    def setup(self, state):
+        # The start picks its position on the shared list up front.
+        state._next_target[state.start] = int(state.rng.integers(0, state.n))
+
+    def draw(self, state, callers):
+        undrawn = state._next_target[callers] < 0
+        if undrawn.any():
+            # A node informed by a call picks its position at its first call.
+            fresh = callers[undrawn]
+            state._next_target[fresh] = state.rng.integers(0, state.n, size=len(fresh))
+        kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
+        return state._next_target[callers], kinds
+
+    def settle(self, state, callers, targets, informed, already, crashed):
+        state._next_target[callers] = (targets + 1) % state.n
+
+    def node_fields(self, state, i):
+        position = int(state._next_target[i])
+        return None, (position if position >= 0 else None), None
+
+
+class _IndependentListRules(_Rules):
+    """Quasirandom with independent lists: each node walks its own uniformly
+    random cyclic permutation, materialized lazily one entry at a time."""
+
+    def __init__(self, n: int):
+        self.drawn: dict[int, list[int]] = {}
+        self.seen: dict[int, set[int]] = {}
+        self.list_index = np.zeros(n, dtype=np.int64)
+
+    def _next_target(self, state, caller: int) -> int:
+        drawn = self.drawn.setdefault(caller, [])
+        seen = self.seen.setdefault(caller, set())
+        idx = int(self.list_index[caller])
+        if idx < len(drawn):
+            return drawn[idx]
+        if len(drawn) == state.n:
+            return drawn[idx % state.n]
+        while True:
+            candidate = int(state.rng.integers(0, state.n))
+            if candidate not in seen:
+                break
+        drawn.append(candidate)
+        seen.add(candidate)
+        return candidate
+
+    def draw(self, state, callers):
+        targets = np.array(
+            [self._next_target(state, caller) for caller in callers.tolist()],
+            dtype=np.int64,
+        )
+        return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
+
+    def settle(self, state, callers, targets, informed, already, crashed):
+        self.list_index[callers] += 1
+
+    def node_fields(self, state, i):
+        if state._status[i] == _INFORMED or i in self.drawn:
+            return None, int(self.list_index[i]), tuple(self.drawn.get(i, ()))
+        return None, None, None
+
+
+class _PushRules(_Rules):
+    """Classical push: every call goes to a fresh uniformly random target."""
+
+    def setup(self, state):
+        state._mode[state.start] = _M_PENDING
+
+    def draw(self, state, callers):
+        kinds = np.full(len(callers), _K_RANDOM, dtype=np.int8)
+        return state._draw_random_targets(callers), kinds
+
+    def settle(self, state, callers, targets, informed, already, crashed):
+        state._mode[targets[informed]] = _M_PENDING
+
+
+def _rules_for(spec: ProtocolSpec, n: int) -> _Rules:
+    if isinstance(spec, Hybrid):
+        return _HybridRules(spec.stop_budget)
+    if isinstance(spec, Quasirandom):
+        if spec.lists == LISTS_IDENTICAL:
+            return _SharedListRules()
+        return _IndependentListRules(n)
+    if isinstance(spec, FullyRandomPush):
+        return _PushRules()
+    raise TypeError(f"not a protocol spec: {spec!r}")
 
 
 class SimulationState:
@@ -205,8 +372,7 @@ class SimulationState:
             raise ValueError(f"n must be >= 1, got {n}")
         if not 0 <= start < n:
             raise ValueError(f"start {start} out of range for n={n}")
-        if not isinstance(spec, (Hybrid, Quasirandom, FullyRandomPush)):
-            raise TypeError(f"not a protocol spec: {spec!r}")
+        self._rules = _rules_for(spec, n)
         if seed is None:
             raise ValueError("seed is required for reproducibility")
         self.spec = spec
@@ -237,15 +403,6 @@ class SimulationState:
         self._informed_at = np.full(n, -1, dtype=np.int64)
         self._informer = np.full(n, -1, dtype=np.int64)
 
-        self._independent_lists = (
-            isinstance(spec, Quasirandom) and spec.lists != LISTS_IDENTICAL
-        )
-        self._drawn: dict[int, list[int]] = {}
-        self._drawn_seen: dict[int, set[int]] = {}
-        self._list_index = (
-            np.zeros(n, dtype=np.int64) if self._independent_lists else None
-        )
-
         self.total_calls = 0
         self.informing_calls = 0
         self.encounter_calls = 0
@@ -257,51 +414,19 @@ class SimulationState:
         self._live_uninformed = n - 1
         self.per_round_informed: list[int] = [1]
         self.log: list[CallRecord] | None = [] if keep_log else None
-
-        if isinstance(spec, Hybrid):
-            self.stop_budget: int | None = spec.stop_budget
-            self._mode[start] = _M_SEQ
-            self._next_target[start] = successor(start, n)
-        else:
-            self.stop_budget = None
-            if isinstance(spec, FullyRandomPush):
-                self._mode[start] = _M_PENDING
-            elif not self._independent_lists:
-                # The start picks its position on the shared list up front.
-                self._next_target[start] = int(self.rng.integers(0, n))
+        self._rules.setup(self)
 
     # -- snapshots ---------------------------------------------------------
-
-    @property
-    def nodes(self) -> Sequence[NodeState]:
-        return _NodeView(self)
 
     def node(self, i: int) -> NodeState:
         if not 0 <= i < self.n:
             raise ValueError(f"node id {i} out of range for n={self.n}")
-        status = _STATUS_ENUM[self._status[i]]
-        mode: Sequential | PendingRandom | None = None
-        list_position: int | None = None
-        call_sequence: tuple[int, ...] | None = None
-        if isinstance(self.spec, Quasirandom):
-            if self._independent_lists:
-                if self._list_index is not None and (
-                    status is NodeStatus.INFORMED or i in self._drawn
-                ):
-                    list_position = int(self._list_index[i])
-                    call_sequence = tuple(self._drawn.get(i, ()))
-            elif self._next_target[i] >= 0:
-                list_position = int(self._next_target[i])
-        else:
-            if self._mode[i] == _M_SEQ:
-                mode = Sequential(int(self._next_target[i]))
-            elif self._mode[i] == _M_PENDING:
-                mode = PendingRandom()
+        mode, list_position, call_sequence = self._rules.node_fields(self, i)
         informed_at = int(self._informed_at[i])
         informer = int(self._informer[i])
         return NodeState(
             id=i,
-            status=status,
+            status=_STATUS_ENUM[self._status[i]],
             mode=mode,
             encounters=int(self._encounters[i]),
             informed_at=None if informed_at < 0 else informed_at,
@@ -339,81 +464,6 @@ class SimulationState:
         targets[targets >= callers] += 1
         return targets
 
-    def _next_independent_target(self, caller: int) -> int:
-        drawn = self._drawn.setdefault(caller, [])
-        seen = self._drawn_seen.setdefault(caller, set())
-        idx = int(self._list_index[caller])
-        if idx < len(drawn):
-            return drawn[idx]
-        if len(drawn) == self.n:
-            return drawn[idx % self.n]
-        while True:
-            candidate = int(self.rng.integers(0, self.n))
-            if candidate not in seen:
-                break
-        drawn.append(candidate)
-        seen.add(candidate)
-        return candidate
-
-    def _collect_intent_arrays(self):
-        """One (caller, target, kind) triple per eligible caller.
-
-        Eligible means informed in a strictly earlier round and neither
-        stopped nor crashed; since intents are collected before any call
-        of the round is applied, that is exactly the informed set.  All
-        random target draws happen here, in ascending caller id order.
-        """
-        callers = np.nonzero(self._status == _INFORMED)[0].astype(np.int64)
-        k = len(callers)
-        if k == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.int8)
-        spec = self.spec
-        if isinstance(spec, Hybrid):
-            modes = self._mode[callers]
-            pending = modes == _M_PENDING
-            targets = np.empty(k, dtype=np.int64)
-            kinds = np.full(k, _K_SEQUENTIAL, dtype=np.int8)
-            seq = ~pending
-            targets[seq] = self._next_target[callers[seq]]
-            targets[pending] = self._draw_random_targets(callers[pending])
-            kinds[pending] = _K_RANDOM
-            if (
-                self._status[self.start] == _INFORMED
-                and self._mode[self.start] == _M_SEQ
-                and self._encounters[self.start] == 0
-            ):
-                kinds[callers == self.start] = _K_INITIAL
-            return callers, targets, kinds
-        if isinstance(spec, Quasirandom):
-            kinds = np.full(k, _K_SEQUENTIAL, dtype=np.int8)
-            if self._independent_lists:
-                targets = np.empty(k, dtype=np.int64)
-                for j, caller in enumerate(callers.tolist()):
-                    targets[j] = self._next_independent_target(caller)
-                return callers, targets, kinds
-            undrawn = self._next_target[callers] < 0
-            if undrawn.any():
-                fresh = callers[undrawn]
-                self._next_target[fresh] = self.rng.integers(
-                    0, self.n, size=len(fresh)
-                )
-            targets = self._next_target[callers]
-            return callers, targets, kinds
-        targets = self._draw_random_targets(callers)
-        kinds = np.full(k, _K_RANDOM, dtype=np.int8)
-        return callers, targets, kinds
-
-    def _advance_list_caller(self, caller: int, target: int) -> None:
-        if self._independent_lists:
-            self._list_index[caller] += 1
-        else:
-            self._next_target[caller] = (target + 1) % self.n
-
-    def _budget_limit(self, caller: int) -> int:
-        # The starting node's first encounter only ends its initial walk.
-        return self.stop_budget + (1 if caller == self.start else 0)
-
     def _finish_round(self, executed_round: int) -> None:
         self.round = executed_round
         self.per_round_informed.append(self.ever_informed_count)
@@ -446,116 +496,36 @@ def is_complete(state: SimulationState) -> bool:
     return state._live_uninformed == 0
 
 
-def collect_intents(state: SimulationState) -> list[CallIntent]:
-    """The round's calls before serialization, one per eligible caller.
-
-    Random targets are drawn here, advancing the state RNG; within a
-    round this runs exactly once, as the first step of execute_round.
-    """
-    callers, targets, kinds = state._collect_intent_arrays()
-    return [
-        CallIntent(int(c), int(t), _KIND_ENUM[k])
-        for c, t, k in zip(callers, targets, kinds)
-    ]
-
-
-def apply_call(
-    state: SimulationState, intent: CallIntent, serial_position: int
-) -> CallRecord:
-    """Apply one serialized call and return its record.
-
-    Draws no randomness; the outcome is determined by the live state:
-    uninformed target -> informed (caller keeps walking from the target's
-    successor under the hybrid protocol); informed or stopped target ->
-    encounter (hybrid callers consume budget and restart or stop);
-    crashed target -> counted call with no informing and no budget use
-    (walkers advance past it, random callers redraw next round).
-    """
-    caller, target, kind = intent.caller, intent.target, intent.kind
-    record_round = state.round + 1
-    state.total_calls += 1
-    spec = state.spec
-    target_status = state._status[target]
-
-    if target_status == _CRASHED:
-        outcome = _O_CRASHED
-        state.crashed_target_calls += 1
-        if isinstance(spec, Hybrid):
-            if state._mode[caller] == _M_SEQ:
-                state._next_target[caller] = (target + 1) % state.n
-            # PendingRandom callers stay pending and redraw next round.
-        elif isinstance(spec, Quasirandom):
-            state._advance_list_caller(caller, target)
-    elif target_status == _UNINFORMED:
-        outcome = _O_INFORMED
-        state.informing_calls += 1
-        state._status[target] = _INFORMED
-        state._informed_at[target] = record_round
-        state._informer[target] = caller
-        state.ever_informed_count += 1
-        state._live_uninformed -= 1
-        if isinstance(spec, Hybrid):
-            # A freshly informed node opens with a random call; only the
-            # starting node begins on its own successor run.
-            state._mode[target] = _M_PENDING
-            state._mode[caller] = _M_SEQ
-            state._next_target[caller] = (target + 1) % state.n
-        elif isinstance(spec, Quasirandom):
-            state._advance_list_caller(caller, target)
-            # The target picks its own list position at its first call.
-        else:
-            state._mode[target] = _M_PENDING
-    else:
-        outcome = _O_ALREADY
-        state.encounter_calls += 1
-        if isinstance(spec, Hybrid):
-            state._encounters[caller] += 1
-            if state._encounters[caller] >= state._budget_limit(caller):
-                state._status[caller] = _STOPPED
-                state._mode[caller] = _M_NONE
-                state._next_target[caller] = -1
-            else:
-                state._mode[caller] = _M_PENDING
-                state._next_target[caller] = -1
-        elif isinstance(spec, Quasirandom):
-            state._advance_list_caller(caller, target)
-
-    record = CallRecord(
-        round=record_round,
-        caller=int(caller),
-        target=int(target),
-        kind=kind,
-        outcome=_OUTCOME_ENUM[outcome],
-        serial_position=serial_position,
-    )
-    if state.log is not None:
-        state.log.append(record)
-    return record
-
-
 def _empty_round(state: SimulationState, executed_round: int) -> RoundReport:
     stalled = state._live_uninformed > 0
     state._finish_round(executed_round)
-    return RoundReport(executed_round, 0, (), stalled)
+    return RoundReport(executed_round, 0, stalled)
 
 
 def execute_round(state: SimulationState) -> RoundReport:
-    """Execute one synchronous round (vectorized fast path).
+    """Execute one synchronous round.
 
-    Crashes scheduled for this round take effect first; then intents are
-    collected, serialized by a fresh random permutation, and applied.
-    Produces the same records, state, and RNG consumption as the
-    per-call reference path (_execute_round_reference).
+    Crashes scheduled for this round take effect first.  Then the
+    protocol's rules draw every caller's target, a fresh random permutation
+    serializes the calls, the first call in serial order to reach each
+    uninformed target informs it, and the protocol's rules settle the
+    callers' state.  ``tests/reference_engine.py`` applies the same calls
+    one by one; the test suite asserts that both produce the same records,
+    state, and RNG consumption.
     """
     executed_round = state.round + 1
     state._apply_crashes(executed_round)
     if state._live_uninformed == 0:
         # Crashes just completed the run; nobody needs to call.
         return _empty_round(state, executed_round)
-    callers, targets, kinds = state._collect_intent_arrays()
+    # Eligible callers were informed in an earlier round and are neither
+    # stopped nor crashed; no call of this round has been applied yet, so
+    # they are exactly the informed set.
+    callers = np.nonzero(state._status == _INFORMED)[0]
     k = len(callers)
     if k == 0:
         return _empty_round(state, executed_round)
+    targets, kinds = state._rules.draw(state, callers)
     order = state.rng.permutation(k)
     s_callers = callers[order]
     s_targets = targets[order]
@@ -576,7 +546,6 @@ def execute_round(state: SimulationState) -> RoundReport:
     already_mask = outcomes == _O_ALREADY
     crashed_mask = outcomes == _O_CRASHED
     new_targets = s_targets[informed_mask]
-    new_informers = s_callers[informed_mask]
 
     state.total_calls += k
     state.informing_calls += int(informed_mask.sum())
@@ -585,45 +554,13 @@ def execute_round(state: SimulationState) -> RoundReport:
 
     state._status[new_targets] = _INFORMED
     state._informed_at[new_targets] = executed_round
-    state._informer[new_targets] = new_informers
+    state._informer[new_targets] = s_callers[informed_mask]
     state.ever_informed_count += len(new_targets)
     state._live_uninformed -= len(new_targets)
 
-    spec = state.spec
-    if isinstance(spec, Hybrid):
-        # Freshly informed nodes open with a random call next round.
-        state._mode[new_targets] = _M_PENDING
-
-        # Each caller calls exactly once per round, so the outcome groups
-        # partition the callers and the updates below are independent.
-        ic = s_callers[informed_mask]
-        state._mode[ic] = _M_SEQ
-        state._next_target[ic] = (new_targets + 1) % state.n
-
-        ac = s_callers[already_mask]
-        bumped = state._encounters[ac] + 1
-        state._encounters[ac] = bumped
-        limits = state.stop_budget + (ac == state.start)
-        stop = bumped >= limits
-        stopped = ac[stop]
-        state._status[stopped] = _STOPPED
-        state._mode[stopped] = _M_NONE
-        state._next_target[stopped] = -1
-        pending = ac[~stop]
-        state._mode[pending] = _M_PENDING
-        state._next_target[pending] = -1
-
-        cc = s_callers[crashed_mask]
-        ct = s_targets[crashed_mask]
-        walker = state._mode[cc] == _M_SEQ
-        state._next_target[cc[walker]] = (ct[walker] + 1) % state.n
-    elif isinstance(spec, Quasirandom):
-        if state._independent_lists:
-            state._list_index[callers] += 1
-        else:
-            state._next_target[callers] = (targets + 1) % state.n
-    elif isinstance(spec, FullyRandomPush):
-        state._mode[new_targets] = _M_PENDING
+    state._rules.settle(
+        state, s_callers, s_targets, informed_mask, already_mask, crashed_mask
+    )
 
     if state.log is not None:
         for pos in range(k):
@@ -639,34 +576,7 @@ def execute_round(state: SimulationState) -> RoundReport:
             )
 
     state._finish_round(executed_round)
-    newly = tuple(int(t) for t in np.sort(new_targets))
-    return RoundReport(executed_round, k, newly, False)
-
-
-def _execute_round_reference(state: SimulationState) -> RoundReport:
-    """Per-call reference implementation of execute_round.
-
-    Collects intents, draws the same serialization permutation, and
-    applies the calls one by one through apply_call.  Kept as an
-    executable statement of the round semantics; tests assert it matches
-    execute_round bit for bit.
-    """
-    executed_round = state.round + 1
-    state._apply_crashes(executed_round)
-    if state._live_uninformed == 0:
-        return _empty_round(state, executed_round)
-    intents = collect_intents(state)
-    k = len(intents)
-    if k == 0:
-        return _empty_round(state, executed_round)
-    order = state.rng.permutation(k)
-    newly = []
-    for position, intent_index in enumerate(order):
-        record = apply_call(state, intents[int(intent_index)], position)
-        if record.outcome is CallOutcome.INFORMED:
-            newly.append(record.target)
-    state._finish_round(executed_round)
-    return RoundReport(executed_round, k, tuple(sorted(newly)), False)
+    return RoundReport(executed_round, k, False)
 
 
 def run(

@@ -332,32 +332,28 @@ def compare_protocols(
     """
     if len(specs) < 2:
         raise ValueError("compare_protocols needs at least two protocol specs")
-    stats = []
-    for index, spec in enumerate(specs):
-        config = ExperimentConfig(
-            spec=spec,
-            n=n,
-            trials=trials,
-            master_seed=master_seed,
-            max_rounds=max_rounds,
-            crash=crash,
-            start=start,
-            allow_self_calls=allow_self_calls,
-            seed_group=index,
-        )
-        stats.append(run_trials(config))
+    result = sweep(
+        [SweepCell(n, spec) for spec in specs],
+        trials,
+        master_seed,
+        max_rounds=max_rounds,
+        crash=crash,
+        start=start,
+        allow_self_calls=allow_self_calls,
+    )
     names = tuple(protocol_name(spec) for spec in specs)
-    pairs = []
-    for a in range(len(specs)):
-        for b in range(a + 1, len(specs)):
-            pairs.append(_pairwise(specs, names, stats, a, b))
+    pairs = tuple(
+        _pairwise(specs, names, result.stats, a, b)
+        for a in range(len(specs))
+        for b in range(a + 1, len(specs))
+    )
     return ComparisonReport(
         n=n,
         trials=trials,
         master_seed=master_seed,
         names=names,
-        stats=tuple(stats),
-        pairs=tuple(pairs),
+        stats=result.stats,
+        pairs=pairs,
     )
 
 

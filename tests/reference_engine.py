@@ -1,0 +1,166 @@
+"""Per-call reference round engine: the oracle the round kernel is tested against.
+
+``execute_round_reference`` collects a round's intents, draws the same
+serialization permutation as ``core.execute_round``, and applies the calls
+one by one through ``apply_call``.  ``apply_call`` states every protocol's
+per-call transition rules on its own; it shares no state-update code with
+the kernel's rules objects.  Only the draw step is shared, because the
+order of random draws is the reproducibility contract both engines meet.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rumorsim.core import (
+    _CRASHED,
+    _INFORMED,
+    _KIND_ENUM,
+    _M_NONE,
+    _M_PENDING,
+    _M_SEQ,
+    _O_ALREADY,
+    _O_CRASHED,
+    _O_INFORMED,
+    _OUTCOME_ENUM,
+    _STOPPED,
+    _UNINFORMED,
+    CallKind,
+    CallOutcome,
+    CallRecord,
+    RoundReport,
+    SimulationState,
+    _empty_round,
+)
+from rumorsim.protocols import LISTS_IDENTICAL, Hybrid, Quasirandom
+
+
+@dataclass(frozen=True)
+class CallIntent:
+    caller: int
+    target: int
+    kind: CallKind
+
+
+def collect_intents(state: SimulationState) -> list[CallIntent]:
+    """The round's calls before serialization, one per eligible caller.
+
+    Eligible callers are the nodes informed in an earlier round that have
+    neither stopped nor crashed.  Their targets are drawn by the kernel's
+    own draw step, advancing the state RNG; within a round this runs
+    exactly once, as the first step of a round.
+    """
+    callers = np.nonzero(state._status == _INFORMED)[0]
+    if len(callers) == 0:
+        return []
+    targets, kinds = state._rules.draw(state, callers)
+    return [
+        CallIntent(int(c), int(t), _KIND_ENUM[k])
+        for c, t, k in zip(callers, targets, kinds)
+    ]
+
+
+def _advance_list_caller(state: SimulationState, caller: int, target: int) -> None:
+    if state.spec.lists == LISTS_IDENTICAL:
+        state._next_target[caller] = (target + 1) % state.n
+    else:
+        state._rules.list_index[caller] += 1
+
+
+def _budget_limit(state: SimulationState, caller: int) -> int:
+    # The starting node's first encounter only ends its initial walk.
+    return state.spec.stop_budget + (1 if caller == state.start else 0)
+
+
+def apply_call(
+    state: SimulationState, intent: CallIntent, serial_position: int
+) -> CallRecord:
+    """Apply one serialized call and return its record.
+
+    Draws no randomness; the outcome is determined by the live state:
+    uninformed target -> informed (caller keeps walking from the target's
+    successor under the hybrid protocol); informed or stopped target ->
+    encounter (hybrid callers consume budget and restart or stop);
+    crashed target -> counted call with no informing and no budget use
+    (walkers advance past it, random callers redraw next round).
+    """
+    caller, target, kind = intent.caller, intent.target, intent.kind
+    record_round = state.round + 1
+    state.total_calls += 1
+    spec = state.spec
+    target_status = state._status[target]
+
+    if target_status == _CRASHED:
+        outcome = _O_CRASHED
+        state.crashed_target_calls += 1
+        if isinstance(spec, Hybrid):
+            if state._mode[caller] == _M_SEQ:
+                state._next_target[caller] = (target + 1) % state.n
+            # PendingRandom callers stay pending and redraw next round.
+        elif isinstance(spec, Quasirandom):
+            _advance_list_caller(state, caller, target)
+    elif target_status == _UNINFORMED:
+        outcome = _O_INFORMED
+        state.informing_calls += 1
+        state._status[target] = _INFORMED
+        state._informed_at[target] = record_round
+        state._informer[target] = caller
+        state.ever_informed_count += 1
+        state._live_uninformed -= 1
+        if isinstance(spec, Hybrid):
+            # A freshly informed node opens with a random call; only the
+            # starting node begins on its own successor run.
+            state._mode[target] = _M_PENDING
+            state._mode[caller] = _M_SEQ
+            state._next_target[caller] = (target + 1) % state.n
+        elif isinstance(spec, Quasirandom):
+            _advance_list_caller(state, caller, target)
+            # The target picks its own list position at its first call.
+        else:
+            state._mode[target] = _M_PENDING
+    else:
+        outcome = _O_ALREADY
+        state.encounter_calls += 1
+        if isinstance(spec, Hybrid):
+            state._encounters[caller] += 1
+            if state._encounters[caller] >= _budget_limit(state, caller):
+                state._status[caller] = _STOPPED
+                state._mode[caller] = _M_NONE
+                state._next_target[caller] = -1
+            else:
+                state._mode[caller] = _M_PENDING
+                state._next_target[caller] = -1
+        elif isinstance(spec, Quasirandom):
+            _advance_list_caller(state, caller, target)
+
+    record = CallRecord(
+        round=record_round,
+        caller=int(caller),
+        target=int(target),
+        kind=kind,
+        outcome=_OUTCOME_ENUM[outcome],
+        serial_position=serial_position,
+    )
+    if state.log is not None:
+        state.log.append(record)
+    return record
+
+
+def execute_round_reference(state: SimulationState) -> RoundReport:
+    """Per-call statement of ``core.execute_round``; usable as ``run``'s
+    ``round_engine``."""
+    executed_round = state.round + 1
+    state._apply_crashes(executed_round)
+    if state._live_uninformed == 0:
+        return _empty_round(state, executed_round)
+    intents = collect_intents(state)
+    k = len(intents)
+    if k == 0:
+        return _empty_round(state, executed_round)
+    order = state.rng.permutation(k)
+    for position, intent_index in enumerate(order):
+        apply_call(state, intents[int(intent_index)], position)
+    state._finish_round(executed_round)
+    return RoundReport(executed_round, k, False)

@@ -14,6 +14,8 @@ from rumorsim.cli import (
     EXIT_VIOLATION,
     main,
 )
+from rumorsim.experiments import sweep, sweep_grid
+from rumorsim.traceio import format_jsonl
 
 # A frozen configuration that stalls: most nodes crash mid-spread and the
 # survivors spend their stop budgets before reaching everyone.
@@ -190,8 +192,11 @@ def test_sweep_structured_and_lines(capsys):
 
     run_cli("sweep", "--n-list", "32", "--R-list", "1", "--trials", "5",
             "--seed", "3", "--format", "lines")
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert all(json.loads(line)["n"] == 32 for line in lines)
+    result = sweep(sweep_grid([32], [1]), 5, 3)
+    assert out == format_jsonl(dict(zip(result.ROW_HEADER, row)) for row in result.rows())
 
 
 def test_sweep_named_protocol_cells(capsys):

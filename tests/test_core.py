@@ -5,6 +5,7 @@ every record's kind, outcome, caller transition, and budget charge was
 checked line by line before freezing the seed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim.core import (
-    CallIntent,
     CallKind,
     CallOutcome,
     NodeStatus,
@@ -22,18 +22,22 @@ from rumorsim.core import (
     RUN_COMPLETED,
     RUN_STALLED,
     Sequential,
-    apply_call,
-    collect_intents,
     default_round_cap,
     execute_round,
     init_simulation,
     is_complete,
     run,
     successor,
-    _execute_round_reference,
 )
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.verify import verify_summary_against_trace, verify_trace
+
+from reference_engine import (
+    CallIntent,
+    apply_call,
+    collect_intents,
+    execute_round_reference,
+)
 
 ALL_SPECS = [
     Hybrid(1),
@@ -149,7 +153,7 @@ def test_node_informed_this_round_makes_no_call_yet():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     report = execute_round(state)
     assert report.calls_made == 1
-    assert report.newly_informed == (1,)
+    assert state.node(1).informed_at == 1
 
 
 def test_sequential_mode_targets_the_stored_successor():
@@ -288,8 +292,8 @@ def test_golden_tie_random_caller_wins():
 
 def test_two_nodes_complete_in_one_forced_call():
     state = init_simulation(Hybrid(1), 2, 0, seed=7, keep_log=True)
-    report = execute_round(state)
-    assert report.newly_informed == (1,)
+    execute_round(state)
+    assert state.node(1).informed_at == 1
     assert is_complete(state)
     assert as_tuples(state.log) == [(1, 0, 1, "initial_successor", "informed", 0)]
 
@@ -461,18 +465,29 @@ def test_nonzero_start_node():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_vectorized_round_matches_reference_engine(spec):
-    for seed in range(4):
-        for schedule in (None, crash_schedule_for(48, seed)):
-            fast_state = init_simulation(
-                spec, 48, 0, seed=seed, crash_schedule=schedule, keep_log=True
+    # Start 5 gets the start's extra budget unit off node 0; no self-calls
+    # exercises the shifted random draw.
+    for seed, crashes, allow_self_calls, start in itertools.product(
+        range(4), (False, True), (True, False), (0, 5)
+    ):
+        schedule = None
+        if crashes:
+            schedule = crash_schedule_for(48, seed)
+            schedule.pop(start, None)
+        states = [
+            init_simulation(
+                spec, 48, start, seed=seed, crash_schedule=schedule,
+                allow_self_calls=allow_self_calls, keep_log=True,
             )
-            fast = run(fast_state)
-            ref_state = init_simulation(
-                spec, 48, 0, seed=seed, crash_schedule=schedule, keep_log=True
-            )
-            ref = run(ref_state, round_engine=_execute_round_reference)
-            assert fast == ref
-            assert fast_state.log == ref_state.log
+            for _ in range(2)
+        ]
+        fast = run(states[0])
+        ref = run(states[1], round_engine=execute_round_reference)
+        assert fast == ref
+        assert states[0].log == states[1].log
+        assert [states[0].node(i) for i in range(48)] == [
+            states[1].node(i) for i in range(48)
+        ]
 
 
 # ------------------------------------------------------ property-based runs

@@ -227,9 +227,14 @@ def test_compare_group_zero_matches_plain_batch():
 
 
 def test_compare_same_spec_gets_independent_streams():
-    report = compare_protocols([Hybrid(2), Hybrid(2)], 128, 20, 42)
+    specs = [Hybrid(2), Hybrid(2)]
+    crash = CrashModel(0.1)
+    report = compare_protocols(specs, 128, 20, 42, crash=crash)
     a, b = report.stats
     assert [s.total_calls for s in a.summaries] != [s.total_calls for s in b.summaries]
+    # Protocol i is sweep cell i: same seed groups, same batches.
+    cells = [SweepCell(128, spec) for spec in specs]
+    assert report.stats == sweep(cells, 20, 42, crash=crash).stats
 
 
 def test_compare_pairwise_fields():
