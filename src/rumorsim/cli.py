@@ -28,7 +28,7 @@ from .experiments import (
     sweep,
     sweep_grid,
 )
-from .protocols import protocol_from_name, protocol_name
+from .protocols import PROTOCOL_NAMES, protocol_from_name, protocol_name
 from .traceio import (
     TraceFormatError,
     format_json,
@@ -79,15 +79,23 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-class _Options:
-    """Flag values layered over config-file values over defaults."""
+# Namespace entries that are not run settings, so no config key names them.
+_NOT_CONFIG_KEYS = {"handler", "subcommand", "config", "file"}
 
-    def __init__(self, args: argparse.Namespace, allowed_keys: set[str]):
+
+class _Options:
+    """Flag values layered over config-file values over defaults.
+
+    A config file may set exactly the subcommand's own flags, by dest.
+    """
+
+    def __init__(self, args: argparse.Namespace):
         self._args = args
         self._config = {}
         if getattr(args, "config", None) is not None:
             self._config = _load_config_file(args.config)
-            unknown = sorted(set(self._config) - allowed_keys)
+            allowed = set(vars(args)) - _NOT_CONFIG_KEYS
+            unknown = sorted(set(self._config) - allowed)
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -129,8 +137,8 @@ class _Options:
         raise UsageError(f"{key} must be a comma-separated list, got {value!r}")
 
 
-def _require(options: _Options, key: str):
-    value = options.get(key)
+def _require_int(options: _Options, key: str) -> int:
+    value = options.get_int(key)
     if value is None:
         raise UsageError(f"--{key.replace('_', '-')} is required")
     return value
@@ -154,7 +162,7 @@ def _resolve_protocol(options: _Options, name: str, *, budget_hybrid_only: bool 
     if name == "hybrid":
         budget = options.get_int("R")
         if budget is None:
-            n = int(_require(options, "n"))
+            n = _require_int(options, "n")
             # The bound formulas need n >= 2; a one-node run takes no calls.
             budget = optimal_stop_budget(n) if n >= 2 else 1
         return protocol_from_name(name, stop_budget=budget)
@@ -182,16 +190,9 @@ def _emit(document: dict, out_path: str | None) -> None:
         write_text(out_path, text)
 
 
-_SIM_KEYS = {
-    "n", "R", "protocol", "seed", "start", "cap", "rho",
-    "crash_timing", "crash_round", "crash_max_round", "no_self_calls",
-    "trace_out", "summary_out",
-}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    options = _Options(args, _SIM_KEYS)
-    n = int(_require(options, "n"))
+    options = _Options(args)
+    n = _require_int(options, "n")
     spec = _resolve_protocol(options, options.get("protocol", "hybrid"))
     seed = _resolve_seed(options)
     trace_out = options.get("trace_out")
@@ -219,12 +220,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return _OUTCOME_EXIT[summary.outcome]
 
 
-_BOUNDS_KEYS = {"n", "R", "epsilon", "out"}
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    options = _Options(args, _BOUNDS_KEYS)
-    n = int(_require(options, "n"))
+    options = _Options(args)
+    n = _require_int(options, "n")
     budget = options.get_float("R")
     if budget is not None and budget.is_integer():
         budget = int(budget)
@@ -233,15 +231,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMPARE_KEYS = {
-    "n", "R", "protocols", "trials", "seed", "cap", "rho",
-    "crash_timing", "crash_round", "crash_max_round", "start", "out",
-}
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    options = _Options(args, _COMPARE_KEYS)
-    n = int(_require(options, "n"))
+    options = _Options(args)
+    n = _require_int(options, "n")
     names = options.get_list("protocols", "hybrid,quasirandom-identical")
     specs = [_resolve_protocol(options, name, budget_hybrid_only=True) for name in names]
     seed = _resolve_seed(options)
@@ -256,13 +248,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     _emit(report.as_dict(), options.get("out"))
     return EXIT_OK
-
-
-_SWEEP_KEYS = {
-    "n_list", "R_list", "protocols", "trials", "seed", "cap", "rho",
-    "crash_timing", "crash_round", "crash_max_round", "start",
-    "format", "out",
-}
 
 
 def _sweep_structured(result) -> dict:
@@ -290,7 +275,7 @@ def _format_sweep(result, fmt: str) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    options = _Options(args, _SWEEP_KEYS)
+    options = _Options(args)
     ns = [int(token) for token in options.get_list("n_list")]
     budgets = [int(token) for token in options.get_list("R_list")]
     extra = []
@@ -318,11 +303,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_TRACE_KEYS = {"n", "R", "protocol", "start", "summary"}
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    options = _Options(args, _TRACE_KEYS)
+    options = _Options(args)
     try:
         records = read_trace_csv(args.file)
     except TraceFormatError as exc:
@@ -338,15 +320,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         n=options.get_int("n"),
         spec=spec,
         start=options.get_int("start"),
-        no_crashes=bool(getattr(args, "no_crashes", False)),
+        no_crashes=bool(options.get("no_crashes", False)),
     )
     violations = list(report.violations)
     summary_path = options.get("summary")
     if summary_path is not None:
         try:
             summary = read_summary_json(summary_path)
-        except OSError as exc:
-            raise UsageError(f"cannot read summary file: {exc}") from exc
         except (TraceFormatError, ValueError) as exc:
             raise UsageError(f"ill-formed summary file: {exc}") from exc
         violations.extend(verify_summary_against_trace(summary, records))
@@ -384,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one trial and print its summary")
     sim.add_argument("--config", help="JSON config file; explicit flags override it")
     sim.add_argument("--n", type=int, help="number of nodes")
-    sim.add_argument("--protocol", choices=["hybrid", "quasirandom-identical",
-                                            "quasirandom-independent", "push"],
+    sim.add_argument("--protocol", choices=PROTOCOL_NAMES,
                      help="protocol to run (default hybrid)")
     sim.add_argument("--R", type=int, help="hybrid stop budget (default ceil(sqrt(ln n)))")
     _add_common_run_flags(sim)
@@ -429,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("file", help="trace CSV produced by simulate --trace-out")
     trc.add_argument("--config", help="JSON config file; explicit flags override it")
     trc.add_argument("--n", type=int, help="number of nodes (default inferred)")
-    trc.add_argument("--protocol", choices=["hybrid", "quasirandom-identical",
-                                            "quasirandom-independent", "push"],
+    trc.add_argument("--protocol", choices=PROTOCOL_NAMES,
                      help="protocol the trace came from, for walk checks")
     trc.add_argument("--R", type=int, help="hybrid stop budget used in the trace")
     trc.add_argument("--start", type=int, help="initially informed node (default inferred)")

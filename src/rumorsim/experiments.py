@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    default_round_slack,
-    lower_bound_rounds,
-    max_total_calls,
-    upper_bound_rounds,
-)
+from .bounds import lower_bound_rounds, max_total_calls, upper_bound_rounds
 from .core import (
     RUN_CAPPED,
     RUN_COMPLETED,
@@ -91,8 +86,6 @@ class ExperimentConfig:
     max_rounds: int | None = None
     crash: CrashModel | None = None
     retention: str = RETAIN_SUMMARY
-    epsilon: float = 0.1
-    slack: Callable[[float], float] = default_round_slack
     start: int = 0
     allow_self_calls: bool = True
     seed_group: int = 0
@@ -434,23 +427,22 @@ def validate_bounds(
     config: ExperimentConfig,
     stats: SampleStats | None = None,
     *,
-    upper_epsilon: float | None = None,
-    lower_epsilon: float | None = None,
+    upper_epsilon: float = 0.1,
+    lower_epsilon: float = 0.1,
 ) -> BoundValidationReport:
     """Frame a hybrid batch against the round bounds and the call cap.
 
     ``stats`` may carry a batch already run for this exact config;
-    otherwise the batch is run here.
+    otherwise the batch is run here.  The upper bound uses
+    ``default_round_slack``.
     """
     if not isinstance(config.spec, Hybrid):
         raise ValueError("bound validation applies to the hybrid protocol")
     if stats is None:
         stats = run_trials(config)
-    up_eps = config.epsilon if upper_epsilon is None else upper_epsilon
-    lo_eps = config.epsilon if lower_epsilon is None else lower_epsilon
     budget = config.spec.stop_budget
-    upper = upper_bound_rounds(config.n, budget, up_eps, config.slack)
-    lower = lower_bound_rounds(config.n, budget, lo_eps)
+    upper = upper_bound_rounds(config.n, budget, upper_epsilon)
+    lower = lower_bound_rounds(config.n, budget, lower_epsilon)
     cutoff = math.floor(lower) - 1
     within = sum(
         1
@@ -463,8 +455,8 @@ def validate_bounds(
         n=config.n,
         stop_budget=budget,
         trials=stats.trials,
-        upper_epsilon=up_eps,
-        lower_epsilon=lo_eps,
+        upper_epsilon=upper_epsilon,
+        lower_epsilon=lower_epsilon,
         upper_rounds=upper,
         lower_rounds=lower,
         lower_cutoff=cutoff,

@@ -58,6 +58,10 @@ class FullyRandomPush:
 
 ProtocolSpec = Hybrid | Quasirandom | FullyRandomPush
 
+# Every name ``protocol_from_name`` accepts, in CLI listing order.
+PROTOCOL_NAMES = ("hybrid", "quasirandom-identical", "quasirandom-independent", "push")
+
+
 def protocol_name(spec: ProtocolSpec) -> str:
     """Stable textual name of a protocol variant (as used by the CLI)."""
     if isinstance(spec, Hybrid):

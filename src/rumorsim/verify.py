@@ -1,28 +1,34 @@
 """Replay stored call traces and re-check the engine's invariants.
 
-The checks only use information that is actually in a trace: caller
-eligibility (informed earlier, one call per round, never after stopping),
-outcome consistency against the replayed informed set, unique informers,
-per-round doubling of the informed set, protocol-specific call kinds,
-walk chaining, and budget accounting.  Crash knowledge is optional: with
-a crash schedule the crashed-target outcomes are checked exactly; with
-``no_crashes=True`` any crashed-target outcome is a violation and the
-identical-lists uselessness property is checked too.
+The checks only use information that is actually in a trace.  One
+protocol-independent replay checks (round, serial) order, node ids, caller
+eligibility (informed earlier, one call per round, not after a crash),
+outcomes against the replayed informed set, the crash schedule and
+per-round doubling, and groups the calls by caller.  Given a spec, that
+protocol's rules then check each caller's calls: kinds, walk chaining,
+the hybrid encounter budget and the list order.  With ``no_crashes=True``
+any crashed-target outcome is a violation and the identical-lists
+uselessness property is checked too.  The verifier shares no rules with
+the simulation kernel.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
-from .core import CallKind, CallOutcome, CallRecord, TraceSummary, successor
-from .protocols import (
-    LISTS_IDENTICAL,
-    FullyRandomPush,
-    Hybrid,
-    ProtocolSpec,
-    Quasirandom,
+from .core import CallKind, CallOutcome, CallRecord, TraceSummary
+from .protocols import LISTS_IDENTICAL, FullyRandomPush, Hybrid, ProtocolSpec, Quasirandom
+
+# Bound once: attribute lookups on an Enum class are slow in per-call loops.
+INITIAL_SUCCESSOR, SEQUENTIAL, RANDOM = (
+    CallKind.INITIAL_SUCCESSOR, CallKind.SEQUENTIAL, CallKind.RANDOM
 )
+INFORMED, ALREADY_INFORMED = CallOutcome.INFORMED, CallOutcome.ALREADY_INFORMED
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,11 @@ def verify_trace(
     no_crashes: bool = False,
     max_violations: int = 50,
 ) -> VerificationReport:
-    """Check a call trace against every invariant derivable from it."""
+    """Check a call trace against every invariant derivable from it.
+
+    Violations list the generic checks in trace order, then the protocol's
+    rules caller by caller.
+    """
     violations: list[str] = []
 
     def flag(message: str) -> None:
@@ -59,226 +69,215 @@ def verify_trace(
 
     if n is None:
         n = 1 + max(max(r.caller, r.target) for r in records)
-    if start is None:
-        first = records[0]
-        if first.round == 1:
-            start = first.caller
+    if start is None and records[0].round == 1:
+        start = records[0].caller
     if records[0].round != 1:
         flag(f"first recorded round is {records[0].round}, expected 1")
 
-    hybrid = isinstance(spec, Hybrid)
-    quasi_identical = isinstance(spec, Quasirandom) and spec.lists == LISTS_IDENTICAL
-    quasi_independent = isinstance(spec, Quasirandom) and not quasi_identical
-    push = isinstance(spec, FullyRandomPush)
-    check_uselessness = quasi_identical and no_crashes
-
-    informed_at: dict[int, int] = {}
-    if start is not None:
-        informed_at[start] = 0
-    crashed_seen: dict[int, int] = {}  # node -> earliest round observed crashed
-    encounters: dict[int, int] = {}
-    stopped: set[int] = set()
-    last_by_caller: dict[int, CallRecord] = {}
-    useless: set[int] = set()
-    informed_before_round = len(informed_at)
-    informs_this_round = 0
-    prev_key: tuple[int, int] | None = None
-    current_round = None
-
-    def close_round() -> None:
-        nonlocal informed_before_round, informs_this_round
-        if informs_this_round > informed_before_round:
-            flag(
-                f"round {current_round}: {informs_this_round} nodes informed by "
-                f"{informed_before_round} previously informed nodes"
-            )
-        informed_before_round += informs_this_round
-        informs_this_round = 0
-
-    for rec in records:
-        r, c, t, s = rec.round, rec.caller, rec.target, rec.serial_position
-        where = f"round {r} serial {s}"
-
-        if current_round is None:
-            current_round = r
-        elif r != current_round:
-            close_round()
-            current_round = r
-
-        key = (r, s)
-        if prev_key is not None:
-            if key <= prev_key:
-                flag(f"{where}: records out of (round, serial) order")
-            elif r == prev_key[0] and s != prev_key[1] + 1:
-                flag(f"{where}: serial positions not contiguous")
-            elif r != prev_key[0] and s != 0:
-                flag(f"{where}: round does not begin at serial 0")
-        elif s != 0:
-            flag(f"{where}: first record of a round must be serial 0")
-        prev_key = key
-
-        if not (0 <= c < n and 0 <= t < n):
-            flag(f"{where}: node id out of range (caller {c}, target {t})")
-            continue
-
-        # Caller eligibility.
-        caller_informed = informed_at.get(c)
-        if caller_informed is None:
-            flag(f"{where}: caller {c} was never informed")
-        elif caller_informed >= r:
-            flag(
-                f"{where}: caller {c} acts in the round it was informed "
-                f"(informed at {caller_informed})"
-            )
-        if c in stopped:
-            flag(f"{where}: caller {c} calls after stopping")
-        if c in crashed_seen and crashed_seen[c] <= r:
-            flag(f"{where}: caller {c} calls at round {r} but was seen crashed")
-        if crash_schedule is not None and crash_schedule.get(c, r + 1) <= r:
-            flag(f"{where}: caller {c} calls at or after its crash round")
-        prev = last_by_caller.get(c)
-        if prev is not None and prev.round == r:
-            flag(f"{where}: caller {c} calls twice in one round")
-
-        # Outcome consistency against the replayed informed set.
-        if rec.outcome is CallOutcome.INFORMED:
-            if t in informed_at:
-                flag(f"{where}: target {t} informed a second time")
-            elif t in crashed_seen and crashed_seen[t] <= r:
-                flag(f"{where}: crashed target {t} reported informed")
-            else:
-                informed_at[t] = r
-                informs_this_round += 1
-            if crash_schedule is not None and crash_schedule.get(t, r + 1) <= r:
-                flag(f"{where}: target {t} informed at or after its crash round")
-            if c in useless:
-                flag(
-                    f"{where}: identical-lists caller {c} informs after an "
-                    f"encounter with a previously informed node"
-                )
-        elif rec.outcome is CallOutcome.ALREADY_INFORMED:
-            target_informed = informed_at.get(t)
-            if target_informed is None:
-                flag(f"{where}: already-informed outcome but target {t} is not")
-            if crash_schedule is not None and crash_schedule.get(t, r + 1) <= r:
-                flag(f"{where}: crashed target {t} reported already-informed")
-            if hybrid:
-                encounters[c] = encounters.get(c, 0) + 1
-                limit = (spec.stop_budget + 1) if c == start else spec.stop_budget
-                if encounters[c] > limit:
-                    flag(f"{where}: caller {c} exceeds its encounter budget")
-                elif encounters[c] == limit:
-                    stopped.add(c)
-            if (
-                check_uselessness
-                and target_informed is not None
-                and target_informed < r
-                and t != start
-            ):
-                useless.add(c)
-        else:  # crashed target
-            if no_crashes:
-                flag(f"{where}: crashed-target outcome in a no-crash run")
-            if crash_schedule is not None and crash_schedule.get(t, r + 1) > r:
-                flag(f"{where}: target {t} reported crashed before its crash round")
-            crashed_seen.setdefault(t, r)
-
-        # Protocol-specific kinds and walk chaining.
-        if spec is not None:
-            _check_kind_and_chaining(
-                flag, where, rec, prev, c, t, n, start, spec,
-                hybrid, quasi_identical, quasi_independent, push, encounters,
-            )
-
-        last_by_caller[c] = rec
-
-    close_round()
-
-    if quasi_independent:
-        _check_independent_lists(flag, records, n)
+    by_caller, informed_at = _replay(flag, records, n, start, crash_schedule, no_crashes)
+    check_caller = _caller_rules(spec, n, start, informed_at if no_crashes else {})
+    if check_caller is not None:
+        for caller, calls in by_caller.items():
+            check_caller(flag, caller, calls)
 
     return VerificationReport(len(records), n, start, tuple(violations))
 
 
-def _check_kind_and_chaining(
-    flag, where, rec, prev, c, t, n, start, spec,
-    hybrid, quasi_identical, quasi_independent, push, encounters,
-) -> None:
-    kind = rec.kind
-    if push:
-        if kind is not CallKind.RANDOM:
-            flag(f"{where}: fully-random caller places a {kind.value} call")
-        return
-    if quasi_identical or quasi_independent:
-        if kind is not CallKind.SEQUENTIAL:
-            flag(f"{where}: list-walking caller places a {kind.value} call")
-        if quasi_identical and prev is not None:
-            expected = successor(prev.target, n)
-            if t != expected:
-                flag(
-                    f"{where}: caller {c} walks to {t}, expected "
-                    f"{expected} after {prev.target}"
-                )
-        return
-    if not hybrid:
-        return
+def _replay(flag, records, n, start, crash_schedule, no_crashes):
+    """Protocol-independent checks over the whole trace.
 
-    # Hybrid kinds: the start walks initial-successor calls until its first
-    # encounter; everyone else opens with a random call; informing switches
-    # the caller to a sequential walk from the target's successor; an
-    # encounter forces a random restart; a crashed target is walked past.
-    enc_before = encounters.get(c, 0) - (
-        1 if rec.outcome is CallOutcome.ALREADY_INFORMED else 0
-    )
-    if prev is None:
-        if c == start:
-            if kind is not CallKind.INITIAL_SUCCESSOR or t != successor(start, n):
+    Returns each caller's in-range calls in trace order, and the round
+    at which each node was first informed.
+    """
+    informed_at: dict[int, int] = {} if start is None else {start: 0}
+    crashed_seen: dict[int, int] = {}  # node -> earliest round observed crashed
+    by_caller: dict[int, list[CallRecord]] = defaultdict(list)
+    informed_before_round = len(informed_at)
+    prev_key: tuple[int, int] | None = None
+
+    for r, round_records in groupby(records, key=attrgetter("round")):
+        informs_this_round = 0
+        for rec in round_records:
+            c, t, s = rec.caller, rec.target, rec.serial_position
+            where = f"round {r} serial {s}"
+
+            key = (r, s)
+            if prev_key is not None:
+                if key <= prev_key:
+                    flag(f"{where}: records out of (round, serial) order")
+                elif r == prev_key[0] and s != prev_key[1] + 1:
+                    flag(f"{where}: serial positions not contiguous")
+                elif r != prev_key[0] and s != 0:
+                    flag(f"{where}: round does not begin at serial 0")
+            elif s != 0:
+                flag(f"{where}: first record of a round must be serial 0")
+            prev_key = key
+
+            if not (0 <= c < n and 0 <= t < n):
+                flag(f"{where}: node id out of range (caller {c}, target {t})")
+                continue
+
+            # Caller eligibility.
+            caller_informed = informed_at.get(c)
+            if caller_informed is None:
+                flag(f"{where}: caller {c} was never informed")
+            elif caller_informed >= r:
                 flag(
-                    f"{where}: starting node must open at its successor "
-                    f"with an initial-successor call"
+                    f"{where}: caller {c} acts in the round it was informed "
+                    f"(informed at {caller_informed})"
                 )
-        elif kind is not CallKind.RANDOM:
-            flag(f"{where}: first call of node {c} must be random")
-        return
-    if c == start and enc_before == 0:
-        expected_kind = CallKind.INITIAL_SUCCESSOR
-    elif prev.outcome is CallOutcome.INFORMED:
-        expected_kind = CallKind.SEQUENTIAL
-    elif prev.outcome is CallOutcome.ALREADY_INFORMED:
-        expected_kind = CallKind.RANDOM
-    else:  # walked past a crashed target, or redraws after a crashed draw
-        expected_kind = prev.kind
-    if kind is not expected_kind:
-        flag(
-            f"{where}: caller {c} places a {kind.value} call, expected "
-            f"{expected_kind.value}"
-        )
-    if kind in (CallKind.SEQUENTIAL, CallKind.INITIAL_SUCCESSOR) and prev.outcome in (
-        CallOutcome.INFORMED,
-        CallOutcome.CRASHED_TARGET,
-    ):
-        expected = successor(prev.target, n)
-        if t != expected:
+            if c in crashed_seen and crashed_seen[c] <= r:
+                flag(f"{where}: caller {c} calls at round {r} but was seen crashed")
+            if crash_schedule is not None and crash_schedule.get(c, r + 1) <= r:
+                flag(f"{where}: caller {c} calls at or after its crash round")
+            calls = by_caller[c]
+            if calls and calls[-1].round == r:
+                flag(f"{where}: caller {c} calls twice in one round")
+            calls.append(rec)
+
+            # Outcome consistency against the replayed informed set.
+            if rec.outcome is INFORMED:
+                if t in informed_at:
+                    flag(f"{where}: target {t} informed a second time")
+                elif t in crashed_seen and crashed_seen[t] <= r:
+                    flag(f"{where}: crashed target {t} reported informed")
+                else:
+                    informed_at[t] = r
+                    informs_this_round += 1
+                if crash_schedule is not None and crash_schedule.get(t, r + 1) <= r:
+                    flag(f"{where}: target {t} informed at or after its crash round")
+            elif rec.outcome is ALREADY_INFORMED:
+                if t not in informed_at:
+                    flag(f"{where}: already-informed outcome but target {t} is not")
+                if crash_schedule is not None and crash_schedule.get(t, r + 1) <= r:
+                    flag(f"{where}: crashed target {t} reported already-informed")
+            else:  # crashed target
+                if no_crashes:
+                    flag(f"{where}: crashed-target outcome in a no-crash run")
+                if crash_schedule is not None and crash_schedule.get(t, r + 1) > r:
+                    flag(f"{where}: target {t} reported crashed before its crash round")
+                crashed_seen.setdefault(t, r)
+
+        if informs_this_round > informed_before_round:
             flag(
-                f"{where}: caller {c} walks to {t}, expected {expected} "
-                f"after {prev.target}"
+                f"round {r}: {informs_this_round} nodes informed by "
+                f"{informed_before_round} previously informed nodes"
+            )
+        informed_before_round += informs_this_round
+
+    return by_caller, informed_at
+
+
+def _caller_rules(spec, n, start, informed_at):
+    """The protocol's per-caller checks; the one place that reads the spec type."""
+    if isinstance(spec, Hybrid):
+        return partial(_check_hybrid_caller, n=n, start=start, budget=spec.stop_budget)
+    if isinstance(spec, Quasirandom) and spec.lists == LISTS_IDENTICAL:
+        return partial(_check_identical_caller, n=n, start=start, informed_at=informed_at)
+    if isinstance(spec, Quasirandom):
+        return partial(_check_independent_caller, n=n)
+    if isinstance(spec, FullyRandomPush):
+        return partial(_check_kinds, kind=RANDOM, walker="fully-random")
+    return None
+
+
+def _where(rec: CallRecord) -> str:
+    return f"round {rec.round} serial {rec.serial_position}"
+
+
+def _check_kinds(flag, caller, calls, *, kind, walker) -> None:
+    for rec in calls:
+        if rec.kind is not kind:
+            flag(f"{_where(rec)}: {walker} caller places a {rec.kind.value} call")
+
+
+def _check_walk(flag, caller, steps, n) -> None:
+    # Each (prev, rec) step goes to the next node of the cyclic order.
+    for prev, rec in steps:
+        expected = (prev.target + 1) % n
+        if rec.target != expected:
+            flag(
+                f"{_where(rec)}: caller {caller} walks to {rec.target}, expected "
+                f"{expected} after {prev.target}"
             )
 
 
-def _check_independent_lists(flag, records: Sequence[CallRecord], n: int) -> None:
+def _check_hybrid_caller(flag, caller, calls, *, n, start, budget) -> None:
+    # The start walks initial-successor calls until its first encounter;
+    # everyone else opens with a random call; informing switches the caller
+    # to a sequential walk from the target's successor; an encounter forces
+    # a random restart; a crashed target is walked past.  A caller stops for
+    # good after its budget of encounters; the start gets one more.
+    limit = budget + 1 if caller == start else budget
+    encounters = 0
+    prev = None
+    steps = []
+    for rec in calls:
+        kind = rec.kind
+        if encounters >= limit:
+            flag(f"{_where(rec)}: caller {caller} calls after stopping")
+            if rec.outcome is ALREADY_INFORMED:
+                flag(f"{_where(rec)}: caller {caller} exceeds its encounter budget")
+        if prev is None:
+            if caller == start:
+                if kind is not INITIAL_SUCCESSOR or rec.target != (start + 1) % n:
+                    flag(
+                        f"{_where(rec)}: starting node must open at its successor "
+                        f"with an initial-successor call"
+                    )
+            elif kind is not RANDOM:
+                flag(f"{_where(rec)}: first call of node {caller} must be random")
+        else:
+            if caller == start and encounters == 0:
+                expected_kind = INITIAL_SUCCESSOR
+            elif prev.outcome is INFORMED:
+                expected_kind = SEQUENTIAL
+            elif prev.outcome is ALREADY_INFORMED:
+                expected_kind = RANDOM
+            else:  # walked past a crashed target, or redraws after a crashed draw
+                expected_kind = prev.kind
+            if kind is not expected_kind:
+                flag(
+                    f"{_where(rec)}: caller {caller} places a {kind.value} "
+                    f"call, expected {expected_kind.value}"
+                )
+            # A walk call after an inform or a crashed target steps on.
+            if kind is not RANDOM and prev.outcome is not ALREADY_INFORMED:
+                steps.append((prev, rec))
+        if rec.outcome is ALREADY_INFORMED:
+            encounters += 1
+        prev = rec
+    _check_walk(flag, caller, steps, n)
+
+
+def _check_identical_caller(flag, caller, calls, *, n, start, informed_at) -> None:
+    # Every caller walks the shared cyclic order.  ``informed_at`` is empty
+    # unless the run had no crashes; then a caller that meets a node informed
+    # in an earlier round, other than the start, walks an informed stretch
+    # from then on and never informs again.
+    _check_kinds(flag, caller, calls, kind=SEQUENTIAL, walker="list-walking")
+    _check_walk(flag, caller, zip(calls, calls[1:]), n)
+    useless = False
+    for rec in calls:
+        t, r = rec.target, rec.round
+        if rec.outcome is INFORMED and useless:
+            flag(
+                f"{_where(rec)}: identical-lists caller {caller} informs after an "
+                f"encounter with a previously informed node"
+            )
+        elif rec.outcome is ALREADY_INFORMED and t != start and informed_at.get(t, r) < r:
+            useless = True
+
+
+def _check_independent_caller(flag, caller, calls, *, n) -> None:
     # Each caller walks its own cyclic permutation: the first n targets are
     # distinct, and from then on the sequence repeats with period n.
-    seq: dict[int, list[int]] = {}
-    for rec in records:
-        seq.setdefault(rec.caller, []).append(rec.target)
-    for caller, targets in seq.items():
-        head = targets[:n]
-        if len(set(head)) != len(head):
-            flag(f"caller {caller}: repeats a list target before wrapping")
-        for i in range(n, len(targets)):
-            if targets[i] != targets[i - n]:
-                flag(f"caller {caller}: list does not repeat cyclically")
-                break
+    _check_kinds(flag, caller, calls, kind=SEQUENTIAL, walker="list-walking")
+    targets = [rec.target for rec in calls]
+    if len(set(targets[:n])) != len(targets[:n]):
+        flag(f"caller {caller}: repeats a list target before wrapping")
+    if any(targets[i] != targets[i - n] for i in range(n, len(targets))):
+        flag(f"caller {caller}: list does not repeat cyclically")
 
 
 def verify_summary_against_trace(
@@ -294,7 +293,7 @@ def verify_summary_against_trace(
     informs_per_round: dict[int, int] = {}
     for rec in records:
         by_outcome[rec.outcome] += 1
-        if rec.outcome is CallOutcome.INFORMED:
+        if rec.outcome is INFORMED:
             informs_per_round[rec.round] = informs_per_round.get(rec.round, 0) + 1
     pairs = (
         ("informing_calls", summary.informing_calls, CallOutcome.INFORMED),

@@ -277,6 +277,23 @@ def test_trace_mismatched_summary_fails(trace_files, tmp_path, capsys):
     assert run_cli("trace", str(trace), "--summary", str(other)) == EXIT_VIOLATION
 
 
+def test_trace_config_file_sets_every_flag(trace_files, tmp_path, capsys):
+    trace, summary = trace_files
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({
+        "n": 64, "protocol": "hybrid", "R": 2, "start": 0,
+        "no_crashes": True, "summary": str(summary),
+    }))
+    assert run_cli("trace", str(trace), "--config", str(config)) == EXIT_OK
+    assert out_json(capsys)["ok"] is True
+    # The config's no_crashes takes effect: a crashed-target row is flagged.
+    lines = trace.read_text().splitlines()
+    lines[1] = lines[1].replace(",informed,", ",crashed_target,")
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("trace", str(trace), "--config", str(config)) == EXIT_VIOLATION
+    assert any("no-crash run" in v for v in out_json(capsys)["violations"])
+
+
 def test_trace_unreadable_and_ill_formed(tmp_path, capsys):
     assert run_cli("trace", str(tmp_path / "missing.csv")) == EXIT_USAGE
     bad = tmp_path / "bad.csv"
@@ -314,6 +331,8 @@ def test_config_rejects_non_object_and_bad_json(tmp_path):
     config.write_text("{oops")
     assert run_cli("simulate", "--config", str(config)) == EXIT_USAGE
     assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == EXIT_USAGE
+    config.write_text(json.dumps({"n": 64.5, "seed": 1}))
+    assert run_cli("simulate", "--config", str(config)) == EXIT_USAGE
 
 
 def test_config_works_for_bounds(tmp_path, capsys):

@@ -232,7 +232,10 @@ def test_independent_lists_must_not_repeat_before_wrap():
     first_target = records[indexes[0]].target
     forged = rewrite(records, indexes[2], target=first_target)
     report = verify_trace(forged, n=24, spec=Quasirandom("independent"), start=0)
-    assert not report.ok
+    assert any(
+        f"caller {caller}: repeats a list target before wrapping" in v
+        for v in report.violations
+    )
 
 
 def test_fully_random_trace_only_places_random_calls():
@@ -250,6 +253,142 @@ def test_violation_list_is_bounded():
     ]
     report = verify_trace(records, n=256, start=0, max_violations=10)
     assert len(report.violations) <= 10
+
+
+# Each forged trace breaks one rule, and its case asserts that rule's own
+# message, so removing any single rule from the verifier fails one case.
+FORGED_TRACES = {
+    # Protocol rules.
+    "identical-lists chaining": (
+        [
+            CallRecord(1, 0, 1, SEQ, INFORMED, 0),
+            CallRecord(2, 0, 3, SEQ, INFORMED, 0),
+        ],
+        dict(n=4, spec=Quasirandom("identical"), start=0),
+        "caller 0 walks to 3, expected 2 after 1",
+    ),
+    "list-walking kind": (
+        [CallRecord(1, 0, 1, RANDOM, INFORMED, 0)],
+        dict(n=4, spec=Quasirandom("identical"), start=0),
+        "list-walking caller places a random call",
+    ),
+    "hybrid kind after the first call": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 2, SEQ, INFORMED, 0),
+        ],
+        dict(n=4, spec=Hybrid(2), start=0),
+        "caller 0 places a sequential call, expected initial_successor",
+    ),
+    "encounter budget": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 1, INITIAL, ALREADY, 0),
+            CallRecord(3, 0, 1, RANDOM, ALREADY, 0),
+            CallRecord(4, 0, 1, RANDOM, ALREADY, 0),
+        ],
+        dict(n=4, spec=Hybrid(1), start=0),
+        "round 4 serial 0: caller 0 exceeds its encounter budget",
+    ),
+    "independent lists repeat before wrapping": (
+        [
+            CallRecord(1, 0, 1, SEQ, INFORMED, 0),
+            CallRecord(2, 0, 1, SEQ, ALREADY, 0),
+        ],
+        dict(n=4, spec=Quasirandom("independent"), start=0),
+        "caller 0: repeats a list target before wrapping",
+    ),
+    "independent lists period": (
+        [
+            CallRecord(1, 0, 1, SEQ, INFORMED, 0),
+            CallRecord(2, 0, 0, SEQ, ALREADY, 0),
+            CallRecord(3, 0, 0, SEQ, ALREADY, 0),
+        ],
+        dict(n=2, spec=Quasirandom("independent"), start=0),
+        "caller 0: list does not repeat cyclically",
+    ),
+    # Generic rules.
+    "node id range": (
+        [CallRecord(1, 0, 5, INITIAL, INFORMED, 0)],
+        dict(n=4, start=0),
+        "node id out of range (caller 0, target 5)",
+    ),
+    "record order": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(1, 0, 2, INITIAL, INFORMED, 0),
+        ],
+        dict(n=4, start=0),
+        "round 1 serial 0: records out of (round, serial) order",
+    ),
+    "contiguous serials": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 2, INITIAL, INFORMED, 0),
+            CallRecord(2, 1, 3, RANDOM, INFORMED, 2),
+        ],
+        dict(n=4, start=0),
+        "round 2 serial 2: serial positions not contiguous",
+    ),
+    "first serial": (
+        [CallRecord(1, 0, 1, INITIAL, INFORMED, 1)],
+        dict(n=4, start=0),
+        "round 1 serial 1: first record of a round must be serial 0",
+    ),
+    "caller seen crashed": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 1, INITIAL, CRASHED, 0),
+            CallRecord(3, 1, 2, RANDOM, INFORMED, 0),
+        ],
+        dict(n=4, start=0),
+        "caller 1 calls at round 3 but was seen crashed",
+    ),
+    "caller past its crash round": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 1, 2, RANDOM, INFORMED, 0),
+        ],
+        dict(n=4, start=0, crash_schedule={1: 2}),
+        "caller 1 calls at or after its crash round",
+    ),
+    "crashed before the crash round": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 2, INITIAL, CRASHED, 0),
+        ],
+        dict(n=4, start=0, crash_schedule={2: 5}),
+        "target 2 reported crashed before its crash round",
+    ),
+    "already-informed target not informed": (
+        [CallRecord(1, 0, 1, INITIAL, ALREADY, 0)],
+        dict(n=4, start=0),
+        "already-informed outcome but target 1 is not",
+    ),
+    "crashed target informed": (
+        [
+            CallRecord(1, 0, 1, INITIAL, CRASHED, 0),
+            CallRecord(2, 0, 1, INITIAL, INFORMED, 0),
+        ],
+        dict(n=4, start=0),
+        "crashed target 1 reported informed",
+    ),
+    "crashed target already informed": (
+        [
+            CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+            CallRecord(2, 0, 1, INITIAL, ALREADY, 0),
+        ],
+        dict(n=4, start=0, crash_schedule={1: 2}),
+        "crashed target 1 reported already-informed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FORGED_TRACES))
+def test_forged_trace_trips_its_own_rule(case):
+    records, options, message = FORGED_TRACES[case]
+    report = verify_trace(records, **options)
+    assert any(message in v for v in report.violations), report.violations
 
 
 # ------------------------------------------------------- summary cross-check
