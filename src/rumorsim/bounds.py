@@ -8,7 +8,8 @@ high probability within
 
 rounds while placing at most ``n * (b + 1)`` calls, and with high
 probability is still incomplete after fewer than ``log2(n) + margin``
-rounds, where
+rounds.  Here ``slack(n)`` is ``default_round_slack(n)``, ln ln n floored
+at 1, and
 
     margin = min{(1 - eps) * ln(n) / b + b / 2, sqrt(2 * (1 - eps) * ln n)}.
 
@@ -19,8 +20,7 @@ batches can be framed against them.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 REGIME_SMALL_BUDGET = "small_budget"
 REGIME_LARGE_BUDGET = "large_budget"
@@ -53,17 +53,12 @@ def budget_regime(n: float, stop_budget: float) -> str:
     return REGIME_LARGE_BUDGET
 
 
-def upper_bound_rounds(
-    n: float,
-    stop_budget: float,
-    epsilon: float,
-    slack: Callable[[float], float] = default_round_slack,
-) -> float:
+def upper_bound_rounds(n: float, stop_budget: float, epsilon: float) -> float:
     """Round count within which the hybrid protocol whp completes.
 
     The small-budget branch applies when ``stop_budget <= sqrt(ln n)``; at
-    the boundary the branches differ only by ``slack(n)`` and the
-    small-budget value is returned.
+    the boundary the branches differ only by ``default_round_slack(n)`` and
+    the small-budget value is returned.
     """
     _check_n(n)
     _check_budget(stop_budget)
@@ -75,7 +70,7 @@ def upper_bound_rounds(
             math.log2(n)
             + (1 + epsilon) * ln_n / stop_budget
             + stop_budget
-            + slack(n)
+            + default_round_slack(n)
         )
     return math.log2(n) + (2 + epsilon) * math.sqrt(ln_n)
 
@@ -139,25 +134,11 @@ class BoundsReport:
 
     def as_dict(self) -> dict:
         """Fields in their fixed serialization order."""
-        return {
-            "n": self.n,
-            "stop_budget": self.stop_budget,
-            "epsilon": self.epsilon,
-            "slack_value": self.slack_value,
-            "upper_rounds": self.upper_rounds,
-            "lower_rounds": self.lower_rounds,
-            "lower_margin": self.lower_margin,
-            "max_calls": self.max_calls,
-            "regime": self.regime,
-            "optimal_stop_budget": self.optimal_stop_budget,
-        }
+        return asdict(self)
 
 
 def bounds_report(
-    n: int,
-    stop_budget: int | None = None,
-    epsilon: float = 0.1,
-    slack: Callable[[float], float] = default_round_slack,
+    n: int, stop_budget: int | None = None, epsilon: float = 0.1
 ) -> BoundsReport:
     """Evaluate all bounds at once; the budget defaults to the optimal one."""
     _check_n(n)
@@ -167,8 +148,8 @@ def bounds_report(
         n=n,
         stop_budget=stop_budget,
         epsilon=epsilon,
-        slack_value=slack(n),
-        upper_rounds=upper_bound_rounds(n, stop_budget, epsilon, slack),
+        slack_value=default_round_slack(n),
+        upper_rounds=upper_bound_rounds(n, stop_budget, epsilon),
         lower_rounds=lower_bound_rounds(n, stop_budget, epsilon),
         lower_margin=lower_bound_margin(n, stop_budget, epsilon),
         max_calls=max_total_calls(n, stop_budget),

@@ -1,8 +1,15 @@
 """Command-line front end for the simulator, bounds, and experiment harness.
 
-Every subcommand is a thin binding: flags and an optional JSON config file
-are merged (explicit flags win), handed to the library layers, and the
-result is printed in a byte-stable form.  No protocol logic lives here.
+Every subcommand is a thin binding: flags are parsed, handed to the
+library layers, and the result is printed in a byte-stable form.  No
+protocol logic lives here.
+
+``--config FILE`` holds a JSON object keyed by the subcommand's own flag
+names (``_`` for ``-``).  Each value becomes that flag, placed before the
+typed flags so those win, and is accepted exactly when the same text typed
+as the flag would be: on/off flags take ``true``/``false``; list flags take
+an array or a comma string; every other flag takes a string or a number,
+never a boolean.  ``null`` leaves the flag unset.
 
 Exit codes: 0 success, 1 usage or ill-formed input, 2 simulation stall,
 3 round cap exhausted, 4 invariant violation found by ``trace``.
@@ -79,174 +86,150 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-# Namespace entries that are not run settings, so no config key names them.
-_NOT_CONFIG_KEYS = {"handler", "subcommand", "config", "file"}
+def _names(text: str) -> list[str]:
+    """A list flag's comma-separated items, blanks dropped."""
+    return [token.strip() for token in text.split(",") if token.strip()]
 
 
-class _Options:
-    """Flag values layered over config-file values over defaults.
+def _integers(text: str) -> list[int]:
+    try:
+        return [int(token) for token in _names(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
-    A config file may set exactly the subcommand's own flags, by dest.
-    """
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = {}
-        if getattr(args, "config", None) is not None:
-            self._config = _load_config_file(args.config)
-            allowed = set(vars(args)) - _NOT_CONFIG_KEYS
-            unknown = sorted(set(self._config) - allowed)
-            if unknown:
-                raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-
-    def get(self, key: str, default=None):
-        value = getattr(self._args, key, None)
+def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
+    """The command's own flags for the config values; see the module doc."""
+    actions = {action.dest: action for action in command._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    flags = []
+    for key, value in config.items():
+        action = actions[key]
         if value is None:
-            value = self._config.get(key, default)
-        return value
-
-    def get_int(self, key: str, default=None):
-        value = self.get(key, default)
-        if value is None:
-            return None
-        try:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError(value)
-            return int(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be an integer, got {value!r}") from None
-
-    def get_float(self, key: str, default=None):
-        value = self.get(key, default)
-        if value is None:
-            return None
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be a number, got {value!r}") from None
-
-    def get_list(self, key: str, default=None):
-        """Comma-separated flag text or a JSON array from the config file."""
-        value = self.get(key, default)
-        if value is None:
-            return []
-        if isinstance(value, str):
-            return [token.strip() for token in value.split(",") if token.strip()]
-        if isinstance(value, (list, tuple)):
-            return [str(item) for item in value]
-        raise UsageError(f"{key} must be a comma-separated list, got {value!r}")
+            continue
+        if action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                raise UsageError(f"config {key} must be true or false, got {value!r}")
+            flags += action.option_strings[:1] if value else []
+            continue
+        is_list = action.type in (_names, _integers)
+        items = value if is_list and isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+            kind = "an array, a string or a number" if is_list else "a string or a number"
+            raise UsageError(f"config {key} must be {kind}, got {value!r}")
+        flags.append(f"{action.option_strings[0]}={','.join(str(v) for v in items)}")
+    return flags
 
 
-def _require_int(options: _Options, key: str) -> int:
-    value = options.get_int(key)
-    if value is None:
-        raise UsageError(f"--{key.replace('_', '-')} is required")
-    return value
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's values go in as flags ahead of argv's own."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    flags = _config_flags(subparsers.choices[args.subcommand], _load_config_file(args.config))
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
-def _resolve_seed(options: _Options) -> int:
+def _require_n(args: argparse.Namespace) -> int:
+    if args.n is None:
+        raise UsageError("--n is required")
+    return args.n
+
+
+def _resolve_seed(args: argparse.Namespace) -> int:
     """Use the given seed, or draw one from system entropy and announce it."""
-    seed = options.get_int("seed")
+    seed = args.seed
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed = {seed}", file=sys.stderr)
     return seed
 
 
-def _resolve_protocol(options: _Options, name: str, *, budget_hybrid_only: bool = False):
+def _resolve_protocol(args: argparse.Namespace, name: str, *, budget_hybrid_only: bool = False):
     """Spec for ``name``; hybrid gets --R or the optimal default budget.
 
     With ``budget_hybrid_only`` a set --R is ignored for other protocols
     (mixed compare lists); otherwise it is rejected as a bad combination.
     """
-    if name == "hybrid":
-        budget = options.get_int("R")
-        if budget is None:
-            n = _require_int(options, "n")
-            # The bound formulas need n >= 2; a one-node run takes no calls.
-            budget = optimal_stop_budget(n) if n >= 2 else 1
-        return protocol_from_name(name, stop_budget=budget)
-    if budget_hybrid_only:
-        return protocol_from_name(name)
-    return protocol_from_name(name, stop_budget=options.get_int("R"))
+    if name != "hybrid":
+        return protocol_from_name(name, stop_budget=None if budget_hybrid_only else args.R)
+    budget = args.R
+    if budget is None:
+        n = _require_n(args)
+        # The bound formulas need n >= 2; a one-node run takes no calls.
+        budget = optimal_stop_budget(n) if n >= 2 else 1
+    return protocol_from_name(name, stop_budget=budget)
 
 
-def _resolve_crash_model(options: _Options) -> CrashModel | None:
-    fraction = options.get_float("rho", 0.0)
-    if fraction == 0.0:
+def _resolve_crash_model(args: argparse.Namespace) -> CrashModel | None:
+    if args.rho == 0.0:
         return None
     return CrashModel(
-        fraction=fraction,
-        timing=options.get("crash_timing", TIMING_UNIFORM_ROUND),
-        round=options.get_int("crash_round"),
-        max_round=options.get_int("crash_max_round"),
+        fraction=args.rho,
+        timing=args.crash_timing,
+        round=args.crash_round,
+        max_round=args.crash_max_round,
     )
 
 
-def _emit(document: dict, out_path: str | None) -> None:
-    text = format_json(document)
+def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path is not None:
         write_text(out_path, text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    options = _Options(args)
-    n = _require_int(options, "n")
-    spec = _resolve_protocol(options, options.get("protocol", "hybrid"))
-    seed = _resolve_seed(options)
-    trace_out = options.get("trace_out")
+    n = _require_n(args)
     config = ExperimentConfig(
-        spec=spec,
+        spec=_resolve_protocol(args, args.protocol),
         n=n,
         trials=1,
-        master_seed=seed,
-        max_rounds=options.get_int("cap"),
-        crash=_resolve_crash_model(options),
-        retention=RETAIN_TRACE if trace_out is not None else RETAIN_SUMMARY,
-        start=options.get_int("start", 0),
-        allow_self_calls=not bool(options.get("no_self_calls", False)),
+        master_seed=_resolve_seed(args),
+        max_rounds=args.cap,
+        crash=_resolve_crash_model(args),
+        retention=RETAIN_TRACE if args.trace_out is not None else RETAIN_SUMMARY,
+        start=args.start,
+        allow_self_calls=not args.no_self_calls,
     )
     state = build_trial_state(config, 0)
     summary = run(state, config.max_rounds)
 
-    text = format_json(summary_to_dict(summary))
-    sys.stdout.write(text)
-    summary_out = options.get("summary_out")
-    if summary_out is not None:
-        write_text(summary_out, text)
-    if trace_out is not None:
-        write_trace_csv(state.log, trace_out)
+    _emit(format_json(summary_to_dict(summary)), args.summary_out)
+    if args.trace_out is not None:
+        write_trace_csv(state.log, args.trace_out)
     return _OUTCOME_EXIT[summary.outcome]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    options = _Options(args)
-    n = _require_int(options, "n")
-    budget = options.get_float("R")
+    n = _require_n(args)
+    budget = args.R
     if budget is not None and budget.is_integer():
         budget = int(budget)
-    report = bounds_report(n, budget, epsilon=options.get_float("epsilon", 0.1))
-    _emit(report.as_dict(), options.get("out"))
+    report = bounds_report(n, budget, epsilon=args.epsilon)
+    _emit(format_json(report.as_dict()), args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    options = _Options(args)
-    n = _require_int(options, "n")
-    names = options.get_list("protocols", "hybrid,quasirandom-identical")
-    specs = [_resolve_protocol(options, name, budget_hybrid_only=True) for name in names]
-    seed = _resolve_seed(options)
+    n = _require_n(args)
+    specs = [_resolve_protocol(args, name, budget_hybrid_only=True) for name in args.protocols]
     report = compare_protocols(
         specs,
         n,
-        options.get_int("trials", 100),
-        seed,
-        max_rounds=options.get_int("cap"),
-        crash=_resolve_crash_model(options),
-        start=options.get_int("start", 0),
+        args.trials,
+        _resolve_seed(args),
+        max_rounds=args.cap,
+        crash=_resolve_crash_model(args),
+        start=args.start,
     )
-    _emit(report.as_dict(), options.get("out"))
+    _emit(format_json(report.as_dict()), args.out)
     return EXIT_OK
 
 
@@ -264,71 +247,52 @@ def _sweep_structured(result) -> dict:
     return {"trials": result.trials, "master_seed": result.master_seed, "cells": cells}
 
 
-def _format_sweep(result, fmt: str) -> str:
-    if fmt == FORMAT_DELIMITED:
-        return format_rows_csv(result.ROW_HEADER, result.rows())
-    if fmt == FORMAT_STRUCTURED:
-        return format_json(_sweep_structured(result))
-    if fmt == FORMAT_LINES:
-        return format_jsonl(dict(zip(result.ROW_HEADER, row)) for row in result.rows())
-    raise UsageError(f"unknown output format {fmt!r}")
+_SWEEP_FORMATS = {
+    FORMAT_DELIMITED: lambda result: format_rows_csv(result.ROW_HEADER, result.rows()),
+    FORMAT_STRUCTURED: lambda result: format_json(_sweep_structured(result)),
+    FORMAT_LINES: lambda result: format_jsonl(
+        dict(zip(result.ROW_HEADER, row)) for row in result.rows()
+    ),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    options = _Options(args)
-    ns = [int(token) for token in options.get_list("n_list")]
-    budgets = [int(token) for token in options.get_list("R_list")]
     extra = []
-    for name in options.get_list("protocols"):
+    for name in args.protocols:
         if name == "hybrid":
             raise UsageError("list hybrid budgets with --R-list, not --protocols")
         extra.append(protocol_from_name(name))
-    cells = sweep_grid(ns, budgets + extra)
+    cells = sweep_grid(args.n_list, args.R_list + extra)
     if not cells:
         raise UsageError("sweep grid is empty; give --n-list and --R-list or --protocols")
-    seed = _resolve_seed(options)
     result = sweep(
         cells,
-        options.get_int("trials", 100),
-        seed,
-        max_rounds=options.get_int("cap"),
-        crash=_resolve_crash_model(options),
-        start=options.get_int("start", 0),
+        args.trials,
+        _resolve_seed(args),
+        max_rounds=args.cap,
+        crash=_resolve_crash_model(args),
+        start=args.start,
     )
-    text = _format_sweep(result, options.get("format", FORMAT_DELIMITED))
-    sys.stdout.write(text)
-    out_path = options.get("out")
-    if out_path is not None:
-        write_text(out_path, text)
+    _emit(_SWEEP_FORMATS[args.format](result), args.out)
     return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    options = _Options(args)
+    if args.R is not None and args.protocol is None:
+        raise UsageError("--R needs --protocol")
     try:
         records = read_trace_csv(args.file)
+        summary = None if args.summary is None else read_summary_json(args.summary)
     except TraceFormatError as exc:
         raise UsageError(str(exc)) from exc
 
-    spec = None
-    name = options.get("protocol")
-    if name is not None:
-        # No defaulted budget here: the check must use the trace's own R.
-        spec = protocol_from_name(name, stop_budget=options.get_int("R"))
+    # No defaulted budget here: the check must use the trace's own R.
+    spec = None if args.protocol is None else protocol_from_name(args.protocol, stop_budget=args.R)
     report = verify_trace(
-        records,
-        n=options.get_int("n"),
-        spec=spec,
-        start=options.get_int("start"),
-        no_crashes=bool(options.get("no_crashes", False)),
+        records, n=args.n, spec=spec, start=args.start, no_crashes=args.no_crashes
     )
     violations = list(report.violations)
-    summary_path = options.get("summary")
-    if summary_path is not None:
-        try:
-            summary = read_summary_json(summary_path)
-        except (TraceFormatError, ValueError) as exc:
-            raise UsageError(f"ill-formed summary file: {exc}") from exc
+    if summary is not None:
         violations.extend(verify_summary_against_trace(summary, records))
 
     document = {
@@ -345,15 +309,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed; if omitted, drawn from system entropy and printed")
     parser.add_argument("--cap", type=int, help="round cap per trial (default scales with n)")
-    parser.add_argument("--rho", type=float, help="fraction of non-start nodes to crash (default 0)")
-    parser.add_argument("--crash-timing", dest="crash_timing",
+    parser.add_argument("--rho", type=float, default=0.0,
+                        help="fraction of non-start nodes to crash (default 0)")
+    parser.add_argument("--crash-timing", dest="crash_timing", default=TIMING_UNIFORM_ROUND,
                         choices=["at_start", "uniform_round", "fixed_round"],
                         help="when scheduled crashes take effect (default uniform_round)")
     parser.add_argument("--crash-round", dest="crash_round", type=int,
                         help="crash round for fixed_round timing")
     parser.add_argument("--crash-max-round", dest="crash_max_round", type=int,
                         help="latest crash round for uniform_round timing")
-    parser.add_argument("--start", type=int, help="initially informed node (default 0)")
+    parser.add_argument("--start", type=int, default=0, help="initially informed node (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one trial and print its summary")
     sim.add_argument("--config", help="JSON config file; explicit flags override it")
     sim.add_argument("--n", type=int, help="number of nodes")
-    sim.add_argument("--protocol", choices=PROTOCOL_NAMES,
+    sim.add_argument("--protocol", choices=PROTOCOL_NAMES, default="hybrid",
                      help="protocol to run (default hybrid)")
     sim.add_argument("--R", type=int, help="hybrid stop budget (default ceil(sqrt(ln n)))")
     _add_common_run_flags(sim)
-    sim.add_argument("--no-self-calls", dest="no_self_calls", action="store_const", const=True,
+    sim.add_argument("--no-self-calls", dest="no_self_calls", action="store_true",
                      help="draw random targets from the other n-1 nodes")
     sim.add_argument("--trace-out", dest="trace_out", help="write the call log to this CSV file")
     sim.add_argument("--summary-out", dest="summary_out", help="write the summary JSON to this file")
@@ -378,28 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--config", help="JSON config file; explicit flags override it")
     bnd.add_argument("--n", type=int, help="number of nodes")
     bnd.add_argument("--R", type=float, help="stop budget (default ceil(sqrt(ln n)))")
-    bnd.add_argument("--epsilon", type=float, help="slack factor in the bound formulas (default 0.1)")
+    bnd.add_argument("--epsilon", type=float, default=0.1,
+                     help="slack factor in the bound formulas (default 0.1)")
     bnd.add_argument("--out", help="also write the report to this file")
     bnd.set_defaults(handler=_cmd_bounds)
 
     cmp_ = sub.add_parser("compare", help="run several protocols on one graph size")
     cmp_.add_argument("--config", help="JSON config file; explicit flags override it")
     cmp_.add_argument("--n", type=int, help="number of nodes")
-    cmp_.add_argument("--protocols", help="comma-separated protocol names (at least two)")
+    cmp_.add_argument("--protocols", type=_names, default=["hybrid", "quasirandom-identical"],
+                      help="comma-separated protocol names (at least two)")
     cmp_.add_argument("--R", type=int, help="stop budget for hybrid entries")
-    cmp_.add_argument("--trials", type=int, help="trials per protocol (default 100)")
+    cmp_.add_argument("--trials", type=int, default=100, help="trials per protocol (default 100)")
     _add_common_run_flags(cmp_)
     cmp_.add_argument("--out", help="also write the report to this file")
     cmp_.set_defaults(handler=_cmd_compare)
 
     swp = sub.add_parser("sweep", help="run a grid of (n, protocol) cells")
     swp.add_argument("--config", help="JSON config file; explicit flags override it")
-    swp.add_argument("--n-list", dest="n_list", help="comma-separated node counts")
-    swp.add_argument("--R-list", dest="R_list", help="comma-separated hybrid stop budgets")
-    swp.add_argument("--protocols", help="comma-separated non-hybrid protocols to add per n")
-    swp.add_argument("--trials", type=int, help="trials per cell (default 100)")
+    swp.add_argument("--n-list", dest="n_list", type=_integers, default=[],
+                     help="comma-separated node counts")
+    swp.add_argument("--R-list", dest="R_list", type=_integers, default=[],
+                     help="comma-separated hybrid stop budgets")
+    swp.add_argument("--protocols", type=_names, default=[],
+                     help="comma-separated non-hybrid protocols to add per n")
+    swp.add_argument("--trials", type=int, default=100, help="trials per cell (default 100)")
     _add_common_run_flags(swp)
-    swp.add_argument("--format", choices=[FORMAT_DELIMITED, FORMAT_STRUCTURED, FORMAT_LINES],
+    swp.add_argument("--format", choices=list(_SWEEP_FORMATS), default=FORMAT_DELIMITED,
                      help="output shape (default delimited)")
     swp.add_argument("--out", help="also write the table to this file")
     swp.set_defaults(handler=_cmd_sweep)
@@ -412,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="protocol the trace came from, for walk checks")
     trc.add_argument("--R", type=int, help="hybrid stop budget used in the trace")
     trc.add_argument("--start", type=int, help="initially informed node (default inferred)")
-    trc.add_argument("--no-crashes", dest="no_crashes", action="store_const", const=True,
+    trc.add_argument("--no-crashes", dest="no_crashes", action="store_true",
                      help="assert the run had no crash schedule")
     trc.add_argument("--summary", help="summary JSON to cross-check against the trace")
     trc.set_defaults(handler=_cmd_trace)
@@ -423,12 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

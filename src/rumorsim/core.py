@@ -293,12 +293,10 @@ class _IndependentListRules(_Rules):
 
     def __init__(self, n: int):
         self.drawn: dict[int, list[int]] = {}
-        self.seen: dict[int, set[int]] = {}
         self.list_index = np.zeros(n, dtype=np.int64)
 
     def _next_target(self, state, caller: int) -> int:
         drawn = self.drawn.setdefault(caller, [])
-        seen = self.seen.setdefault(caller, set())
         idx = int(self.list_index[caller])
         if idx < len(drawn):
             return drawn[idx]
@@ -306,10 +304,9 @@ class _IndependentListRules(_Rules):
             return drawn[idx % state.n]
         while True:
             candidate = int(state.rng.integers(0, state.n))
-            if candidate not in seen:
+            if candidate not in drawn:
                 break
         drawn.append(candidate)
-        seen.add(candidate)
         return candidate
 
     def draw(self, state, callers):
@@ -394,7 +391,6 @@ class SimulationState:
         self._crash_nodes = [node for node, _ in ordered]
         self._crash_rounds = [rnd for _, rnd in ordered]
         self._crash_ptr = 0
-        self.crashed_count = 0
 
         self._status = np.zeros(n, dtype=np.int8)
         self._mode = np.zeros(n, dtype=np.int8)
@@ -451,7 +447,6 @@ class SimulationState:
             self._status[node] = _CRASHED
             self._mode[node] = _M_NONE
             self._next_target[node] = -1
-            self.crashed_count += 1
 
     def _draw_random_targets(self, callers: np.ndarray) -> np.ndarray:
         if len(callers) == 0:

@@ -12,7 +12,7 @@ batch exactly and trials can run in any order or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -406,21 +406,7 @@ class BoundValidationReport:
     call_cap_satisfied: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "stop_budget": self.stop_budget,
-            "trials": self.trials,
-            "upper_epsilon": self.upper_epsilon,
-            "lower_epsilon": self.lower_epsilon,
-            "upper_rounds": self.upper_rounds,
-            "lower_rounds": self.lower_rounds,
-            "lower_cutoff": self.lower_cutoff,
-            "fraction_within_upper": self.fraction_within_upper,
-            "incomplete_at_lower_cutoff": self.incomplete_at_lower_cutoff,
-            "max_observed_calls": self.max_observed_calls,
-            "max_calls_bound": self.max_calls_bound,
-            "call_cap_satisfied": self.call_cap_satisfied,
-        }
+        return asdict(self)
 
 
 def validate_bounds(

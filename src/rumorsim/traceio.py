@@ -180,9 +180,13 @@ def write_summary_json(summary: TraceSummary, path: str) -> str:
 def read_summary_json(path: str) -> TraceSummary:
     try:
         with open(path, "r") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = handle.read()
+    except OSError as exc:
         raise TraceFormatError(f"cannot read summary file: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"summary file is not valid JSON: {exc}") from None
     return summary_from_dict(doc)
 
 

@@ -38,11 +38,11 @@ class TestUpperBoundRounds:
     def test_branch_boundary_uses_small_budget_value(self):
         # ln(e^9) = 9 exactly, so budget 3 sits exactly on the boundary.
         n = math.exp(9)
-        no_slack = lambda _: 0.0
         small = math.log2(n) + 9 / 3 + 3
         large = math.log2(n) + 2 * 3
         assert small == pytest.approx(large)
-        assert upper_bound_rounds(n, 3, 0.0, no_slack) == pytest.approx(small)
+        got = upper_bound_rounds(n, 3, 0.0) - default_round_slack(n)
+        assert got == pytest.approx(small)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -145,7 +145,8 @@ def bound_params(draw):
 def test_lower_bound_never_exceeds_upper_bound(params):
     n, budget, epsilon = params
     lower = lower_bound_rounds(n, budget, epsilon)
-    upper = upper_bound_rounds(n, budget, epsilon, lambda m: math.log(math.log(m)))
+    # n >= 2^4 > e^e, so the default slack is the unfloored ln ln n.
+    upper = upper_bound_rounds(n, budget, epsilon)
     assert lower <= upper
 
 

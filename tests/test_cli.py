@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, merging, byte stability, round trips."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from rumorsim.cli import (
     EXIT_STALLED,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     main,
 )
 from rumorsim.experiments import sweep, sweep_grid
@@ -301,6 +303,26 @@ def test_trace_unreadable_and_ill_formed(tmp_path, capsys):
     assert run_cli("trace", str(bad)) == EXIT_USAGE
 
 
+def test_trace_missing_summary_is_unreadable_not_ill_formed(trace_files, tmp_path, capsys):
+    trace, _ = trace_files
+    missing = tmp_path / "nope.json"
+    assert run_cli("trace", str(trace), "--summary", str(missing)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read summary file: ")
+    assert "ill-formed" not in captured.err
+
+
+def test_trace_budget_needs_protocol(trace_files, tmp_path, capsys):
+    trace, _ = trace_files
+    assert run_cli("trace", str(trace), "--R", "2") == EXIT_USAGE
+    assert "--R needs --protocol" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"R": 2}))
+    assert run_cli("trace", str(trace), "--config", str(config)) == EXIT_USAGE
+    assert "--R needs --protocol" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- config files
 
 
@@ -331,8 +353,15 @@ def test_config_rejects_non_object_and_bad_json(tmp_path):
     config.write_text("{oops")
     assert run_cli("simulate", "--config", str(config)) == EXIT_USAGE
     assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == EXIT_USAGE
-    config.write_text(json.dumps({"n": 64.5, "seed": 1}))
-    assert run_cli("simulate", "--config", str(config)) == EXIT_USAGE
+    for bad in (
+        {"n": 64.5, "seed": 1},
+        {"n": True, "seed": 1},
+        {"n": 16, "seed": True},
+        {"n": 16, "seed": 1, "no_self_calls": "false"},
+        {"n": 16, "seed": 1, "crash_timing": "bogus"},
+    ):
+        config.write_text(json.dumps(bad))
+        assert run_cli("simulate", "--config", str(config)) == EXIT_USAGE, bad
 
 
 def test_config_works_for_bounds(tmp_path, capsys):
@@ -340,6 +369,100 @@ def test_config_works_for_bounds(tmp_path, capsys):
     config.write_text(json.dumps({"n": 100, "R": 3}))
     assert run_cli("bounds", "--config", str(config)) == EXIT_OK
     assert out_json(capsys)["max_calls"] == 400
+
+
+# Every flag of each subcommand: dest -> (flag tokens, config value).  All
+# entries of one subcommand together form one valid invocation; output
+# paths are relative, so they land in the run's own $RUMORSIM_OUTPUT_DIR.
+CONFIG_EQUALS_FLAGS = {
+    "simulate": {
+        "n": (["--n", "64"], 64),
+        "protocol": (["--protocol", "hybrid"], "hybrid"),
+        "R": (["--R", "2"], 2),
+        "seed": (["--seed", "5"], 5),
+        "cap": (["--cap", "40"], 40),
+        "rho": (["--rho", "0.25"], 0.25),
+        "crash_timing": (["--crash-timing", "fixed_round"], "fixed_round"),
+        "crash_round": (["--crash-round", "3"], 3),
+        "crash_max_round": (["--crash-max-round", "6"], 6),
+        "start": (["--start", "5"], 5),
+        "no_self_calls": (["--no-self-calls"], True),
+        "trace_out": (["--trace-out", "t.csv"], "t.csv"),
+        "summary_out": (["--summary-out", "s.json"], "s.json"),
+    },
+    "bounds": {
+        "n": (["--n", "100"], 100),
+        "R": (["--R", "2.5"], 2.5),
+        "epsilon": (["--epsilon", "0.2"], 0.2),
+        "out": (["--out", "b.json"], "b.json"),
+    },
+    "compare": {
+        "n": (["--n", "64"], 64),
+        "protocols": (["--protocols", "hybrid,push,quasirandom-independent"],
+                      ["hybrid", "push", "quasirandom-independent"]),
+        "R": (["--R", "2"], 2),
+        "trials": (["--trials", "7"], 7),
+        "seed": (["--seed", "5"], 5),
+        "cap": (["--cap", "40"], 40),
+        "rho": (["--rho", "0.25"], 0.25),
+        "crash_timing": (["--crash-timing", "uniform_round"], "uniform_round"),
+        "crash_round": (["--crash-round", "3"], 3),
+        "crash_max_round": (["--crash-max-round", "6"], 6),
+        "start": (["--start", "5"], 5),
+        "out": (["--out", "c.json"], "c.json"),
+    },
+    "sweep": {
+        "n_list": (["--n-list", "32,64"], [32, 64]),
+        "R_list": (["--R-list", "1,3"], "1,3"),
+        "protocols": (["--protocols", "push"], ["push"]),
+        "trials": (["--trials", "5"], 5),
+        "seed": (["--seed", "5"], 5),
+        "cap": (["--cap", "40"], 40),
+        "rho": (["--rho", "0.25"], 0.25),
+        "crash_timing": (["--crash-timing", "at_start"], "at_start"),
+        "crash_round": (["--crash-round", "3"], 3),
+        "crash_max_round": (["--crash-max-round", "6"], 6),
+        "start": (["--start", "5"], 5),
+        "format": (["--format", "lines"], "lines"),
+        "out": (["--out", "w.txt"], "w.txt"),
+    },
+}
+
+
+def _flag_dests(subcommand):
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    actions = subparsers.choices[subcommand]._actions
+    return {action.dest for action in actions if action.option_strings} - {"help", "config"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIG_EQUALS_FLAGS))
+def test_config_equals_flags_for_every_flag(subcommand, tmp_path, capsys, monkeypatch):
+    table = CONFIG_EQUALS_FLAGS[subcommand]
+    assert set(table) == _flag_dests(subcommand)
+
+    def outcome(name, flag_dests, config):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        monkeypatch.setenv("RUMORSIM_OUTPUT_DIR", str(out_dir))
+        argv = [subcommand]
+        for dest in flag_dests:
+            argv += table[dest][0]
+        if config is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code = run_cli(*argv)
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, capsys.readouterr().out, files
+
+    by_flags = outcome("flags", list(table), None)
+    assert by_flags[2], "every table writes at least one output file"
+    everything = {dest: value for dest, (_, value) in table.items()}
+    assert outcome("config", [], everything) == by_flags
+    for dest, (_, value) in table.items():
+        others = [d for d in table if d != dest]
+        assert outcome(f"one-{dest}", others, {dest: value}) == by_flags, dest
 
 
 # ---------------------------------------------------------- installed script

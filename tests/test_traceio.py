@@ -165,8 +165,13 @@ def test_summary_from_dict_rejects_missing_fields():
 def test_read_summary_json_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(TraceFormatError, match="cannot read"):
+    with pytest.raises(TraceFormatError, match="summary file is not valid JSON"):
         read_summary_json(str(path))
+    path.write_text("[1, 2]")
+    with pytest.raises(TraceFormatError, match="bad summary document"):
+        read_summary_json(str(path))
+    with pytest.raises(TraceFormatError, match="cannot read summary file"):
+        read_summary_json(str(tmp_path / "missing.json"))
 
 
 # ----------------------------------------------------------------- table CSV
