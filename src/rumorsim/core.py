@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,18 +75,10 @@ _M_NONE, _M_SEQ, _M_PENDING = 0, 1, 2
 _K_INITIAL, _K_SEQUENTIAL, _K_RANDOM = 0, 1, 2
 _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
 
-_STATUS_ENUM = (
-    NodeStatus.UNINFORMED,
-    NodeStatus.INFORMED,
-    NodeStatus.STOPPED,
-    NodeStatus.CRASHED,
-)
-_KIND_ENUM = (CallKind.INITIAL_SUCCESSOR, CallKind.SEQUENTIAL, CallKind.RANDOM)
-_OUTCOME_ENUM = (
-    CallOutcome.INFORMED,
-    CallOutcome.ALREADY_INFORMED,
-    CallOutcome.CRASHED_TARGET,
-)
+# Code -> member tables; each enum's declaration order is its code order.
+_STATUS_ENUM = tuple(NodeStatus)
+_KIND_ENUM = tuple(CallKind)
+_OUTCOME_ENUM = tuple(CallOutcome)
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,9 @@ class NodeState:
     call_sequence: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
+    """One call; the fields, in order, are the trace CSV's columns."""
+
     round: int
     caller: int
     target: int
@@ -558,17 +553,17 @@ def execute_round(state: SimulationState) -> RoundReport:
     )
 
     if state.log is not None:
-        for pos in range(k):
-            state.log.append(
-                CallRecord(
-                    round=executed_round,
-                    caller=int(s_callers[pos]),
-                    target=int(s_targets[pos]),
-                    kind=_KIND_ENUM[s_kinds[pos]],
-                    outcome=_OUTCOME_ENUM[outcomes[pos]],
-                    serial_position=pos,
-                )
+        state.log.extend(
+            map(
+                CallRecord,
+                repeat(executed_round, k),
+                s_callers.tolist(),
+                s_targets.tolist(),
+                map(_KIND_ENUM.__getitem__, s_kinds.tolist()),
+                map(_OUTCOME_ENUM.__getitem__, outcomes.tolist()),
+                range(k),
             )
+        )
 
     state._finish_round(executed_round)
     return RoundReport(executed_round, k, False)

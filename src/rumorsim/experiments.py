@@ -313,7 +313,6 @@ def compare_protocols(
     max_rounds: int | None = None,
     crash: CrashModel | None = None,
     start: int = 0,
-    allow_self_calls: bool = True,
 ) -> ComparisonReport:
     """Evaluate several protocols on equal trial counts.
 
@@ -332,7 +331,6 @@ def compare_protocols(
         max_rounds=max_rounds,
         crash=crash,
         start=start,
-        allow_self_calls=allow_self_calls,
     )
     names = tuple(protocol_name(spec) for spec in specs)
     pairs = tuple(
@@ -521,7 +519,6 @@ def sweep(
     max_rounds: int | None = None,
     crash: CrashModel | None = None,
     start: int = 0,
-    allow_self_calls: bool = True,
 ) -> SweepResult:
     """Run one batch per grid cell; cell ``i`` uses seed group ``i``."""
     if len(cells) == 0:
@@ -536,7 +533,6 @@ def sweep(
             max_rounds=max_rounds,
             crash=crash,
             start=start,
-            allow_self_calls=allow_self_calls,
             seed_group=index,
         )
         stats.append(run_trials(config))

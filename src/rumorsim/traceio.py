@@ -10,14 +10,46 @@ import csv
 import io
 import json
 import os
+from dataclasses import asdict, fields
 from typing import Iterable, Sequence
 
-from .core import CallKind, CallOutcome, CallRecord, TraceSummary
+from .core import (
+    RUN_CAPPED,
+    RUN_COMPLETED,
+    RUN_STALLED,
+    CallKind,
+    CallOutcome,
+    CallRecord,
+    TraceSummary,
+)
 
-TRACE_COLUMNS = ("round", "caller", "target", "kind", "outcome", "serial_position")
+TRACE_COLUMNS = CallRecord._fields
 
-_KINDS = {k.value: k for k in CallKind}
-_OUTCOMES = {o.value: o for o in CallOutcome}
+
+def _member_parser(enum, name: str):
+    """Text -> member of a str-valued enum; ValueError for any other text."""
+    members = {member.value: member for member in enum}
+
+    def parse(text: str):
+        try:
+            return members[text]
+        except KeyError:
+            raise ValueError(f"unknown {name} {text!r}") from None
+
+    return parse
+
+
+# How each column's text becomes its field's value. Built as a CallRecord so
+# each parser is named by its own field (a NamedTuple does not check the
+# annotated field types).
+_FIELD_PARSERS = CallRecord(
+    round=int,
+    caller=int,
+    target=int,
+    kind=_member_parser(CallKind, "kind"),
+    outcome=_member_parser(CallOutcome, "outcome"),
+    serial_position=int,
+)
 
 
 class TraceFormatError(ValueError):
@@ -80,17 +112,8 @@ def format_trace_csv(records: Sequence[CallRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for record in records:
-        writer.writerow(
-            (
-                record.round,
-                record.caller,
-                record.target,
-                record.kind.value,
-                record.outcome.value,
-                record.serial_position,
-            )
-        )
+    # A str-valued enum member is written as its value.
+    writer.writerows(records)
     return out.getvalue()
 
 
@@ -113,21 +136,18 @@ def parse_trace_csv(text: str) -> list[CallRecord]:
         if not row:
             continue
         if len(row) != len(TRACE_COLUMNS):
-            raise TraceFormatError(f"line {lineno}: expected 6 fields, got {len(row)}")
+            raise TraceFormatError(
+                f"line {lineno}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
+            )
         try:
-            rnd, caller, target = int(row[0]), int(row[1]), int(row[2])
-            serial = int(row[5])
+            record = CallRecord._make(
+                [parse(text) for parse, text in zip(_FIELD_PARSERS, row)]
+            )
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
-        kind = _KINDS.get(row[3])
-        outcome = _OUTCOMES.get(row[4])
-        if kind is None:
-            raise TraceFormatError(f"line {lineno}: unknown kind {row[3]!r}")
-        if outcome is None:
-            raise TraceFormatError(f"line {lineno}: unknown outcome {row[4]!r}")
-        if rnd < 1 or caller < 0 or target < 0 or serial < 0:
+        if record.round < 1 or min(record.caller, record.target, record.serial_position) < 0:
             raise TraceFormatError(f"line {lineno}: negative or zero-round field")
-        records.append(CallRecord(rnd, caller, target, kind, outcome, serial))
+        records.append(record)
     return records
 
 
@@ -141,36 +161,49 @@ def read_trace_csv(path: str) -> list[CallRecord]:
 
 
 def summary_to_dict(summary: TraceSummary) -> dict:
-    return {
-        "n": summary.n,
-        "outcome": summary.outcome,
-        "completion_round": summary.completion_round,
-        "rounds_executed": summary.rounds_executed,
-        "total_calls": summary.total_calls,
-        "informing_calls": summary.informing_calls,
-        "encounter_calls": summary.encounter_calls,
-        "crashed_target_calls": summary.crashed_target_calls,
-        "per_round_informed": list(summary.per_round_informed),
-    }
+    """The summary document: one key per ``TraceSummary`` field, in order."""
+    return {**asdict(summary), "per_round_informed": list(summary.per_round_informed)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The form a summary document's value must take, by field; every field not
+# listed is a count and must be a JSON integer.
+_SUMMARY_FORMS = {
+    "outcome": (
+        "completed, stalled or capped",
+        lambda v: v in (RUN_COMPLETED, RUN_STALLED, RUN_CAPPED),
+    ),
+    "completion_round": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "per_round_informed": (
+        "an array of integers",
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    ),
+}
+_COUNT_FORM = ("an integer", _is_int)
 
 
 def summary_from_dict(doc: dict) -> TraceSummary:
-    try:
-        return TraceSummary(
-            n=int(doc["n"]),
-            outcome=str(doc["outcome"]),
-            completion_round=(
-                None if doc["completion_round"] is None else int(doc["completion_round"])
-            ),
-            rounds_executed=int(doc["rounds_executed"]),
-            total_calls=int(doc["total_calls"]),
-            informing_calls=int(doc["informing_calls"]),
-            encounter_calls=int(doc["encounter_calls"]),
-            crashed_target_calls=int(doc["crashed_target_calls"]),
-            per_round_informed=tuple(int(x) for x in doc["per_round_informed"]),
+    """Inverse of ``summary_to_dict`` for a parsed JSON document; any other
+    key set or value form is rejected, never coerced."""
+    if not isinstance(doc, dict):
+        raise TraceFormatError(f"bad summary document: not an object: {doc!r}")
+    names = [f.name for f in fields(TraceSummary)]
+    if set(doc) != set(names):
+        missing = sorted(set(names) - set(doc))
+        unknown = sorted(set(doc) - set(names))
+        raise TraceFormatError(
+            f"bad summary document: missing keys {missing}, unknown keys {unknown}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad summary document: {exc}") from None
+    for name in names:
+        form, valid = _SUMMARY_FORMS.get(name, _COUNT_FORM)
+        if not valid(doc[name]):
+            raise TraceFormatError(
+                f"bad summary document: {name} must be {form}, got {doc[name]!r}"
+            )
+    return TraceSummary(**{**doc, "per_round_informed": tuple(doc["per_round_informed"])})
 
 
 def write_summary_json(summary: TraceSummary, path: str) -> str:

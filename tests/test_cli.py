@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, merging, byte stability, round trips."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from rumorsim.cli import (
     build_parser,
     main,
 )
+from rumorsim.core import CallKind, CallOutcome
 from rumorsim.experiments import sweep, sweep_grid
 from rumorsim.traceio import format_jsonl
 
@@ -122,6 +124,68 @@ def test_simulate_quasirandom_and_push(capsys):
         assert run_cli("simulate", "--n", "64", "--protocol", name,
                        "--seed", "3") == EXIT_OK
         assert out_json(capsys)["outcome"] == "completed"
+
+
+# SHA-256 of the trace CSV and the summary JSON that
+# `simulate --n 64 --seed 3 --protocol P [--rho 0.2]` writes.  Frozen: any
+# change to these bytes is a change of format or semantics, not a refactor.
+FROZEN_SIMULATE_DIGESTS = {
+    ("hybrid", False): (
+        "8b1f248074bf04971c8ba1305f9d6b86e06116bb1d6284019e7c558f0c35dc01",
+        "f772e04c91bca6a3a29f6c07f54fe80ddf9e2b7196f53a4cba25d7437e14519a",
+    ),
+    ("hybrid", True): (
+        "1446d23a5d502edaa39b8818661fa820d86c24a6c30e6e0aa8848fea00ccde4a",
+        "4a1bf918e63848f28349a04b90626d86aea990b2a3830499fb18653605192385",
+    ),
+    ("push", False): (
+        "85f01751e24a4ed0495aa0b5385ca7cb448c73a4da678bd0fbde72107c1cd718",
+        "25ee6f85df6cb73a231c05acec30b182cf048c136439cfc1c7a655df5f8ac132",
+    ),
+    ("push", True): (
+        "ff443a8ca76ff0572f957dc98ef4de49ca10b494afaa2dd91abf2c2df084e959",
+        "2521143e38731286f6258e719a885bc82ec6858e9023b42a223d7f17a77336f4",
+    ),
+    ("quasirandom-identical", False): (
+        "d9566639caf4a39793e778bb3cfe43aa46debecac009ed817fd3fc532919f9d3",
+        "8e65814274e9369e6f63014078626ab8e406d38747e3d5ff75809cbdeaf9ff5d",
+    ),
+    ("quasirandom-identical", True): (
+        "cd91fcf323356dc74d50939922eb6d52efa0d02c0ff5a189ebd01b37fc2a1065",
+        "3cbc6b08542f18853f5e511fa1e79d4cc7e1d5665e601103f95cd317a27cb74f",
+    ),
+    ("quasirandom-independent", False): (
+        "f63e045b5eeb7daf952d5a3905fb6a40d8fe413e1f0fed649baab1d77df8d4d6",
+        "e86edd2c08e92620da3197e647e255362695255632f58305bb09ee7a1e292aa8",
+    ),
+    ("quasirandom-independent", True): (
+        "97a96f40aff1e49801d377a4f690695ca48efcc291aed6a544a2013c032c9157",
+        "2521143e38731286f6258e719a885bc82ec6858e9023b42a223d7f17a77336f4",
+    ),
+}
+
+
+def test_simulate_output_bytes_frozen(tmp_path, capsys):
+    digests, kinds, outcomes = {}, set(), set()
+    for protocol, crashes in FROZEN_SIMULATE_DIGESTS:
+        trace = tmp_path / f"{protocol}-{crashes}.csv"
+        summary = tmp_path / f"{protocol}-{crashes}.json"
+        code = run_cli("simulate", "--n", "64", "--seed", "3", "--protocol", protocol,
+                       *(["--rho", "0.2"] if crashes else []),
+                       "--trace-out", str(trace), "--summary-out", str(summary))
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == summary.read_text()
+        digests[protocol, crashes] = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, summary)
+        )
+        for row in trace.read_text().splitlines()[1:]:
+            _, _, _, kind, outcome, _ = row.split(",")
+            kinds.add(kind)
+            outcomes.add(outcome)
+    assert digests == FROZEN_SIMULATE_DIGESTS
+    # The frozen runs exercise every call kind and every call outcome.
+    assert kinds == {kind.value for kind in CallKind}
+    assert outcomes == {outcome.value for outcome in CallOutcome}
 
 
 # ------------------------------------------------------------------- bounds
@@ -277,6 +341,22 @@ def test_trace_mismatched_summary_fails(trace_files, tmp_path, capsys):
             "--summary-out", str(other))
     capsys.readouterr()
     assert run_cli("trace", str(trace), "--summary", str(other)) == EXIT_VIOLATION
+
+
+def test_trace_rejects_summary_with_fractional_counts(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    run_cli("simulate", "--n", "8", "--seed", "3",
+            "--trace-out", str(trace), "--summary-out", str(summary))
+    capsys.readouterr()
+    doc = json.loads(summary.read_text())
+    doc["total_calls"] += 0.5
+    doc["completion_round"] += 0.5
+    summary.write_text(json.dumps(doc))
+    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad summary document: " in captured.err
 
 
 def test_trace_config_file_sets_every_flag(trace_files, tmp_path, capsys):

@@ -162,6 +162,30 @@ def test_summary_from_dict_rejects_missing_fields():
         summary_from_dict({"n": 4})
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"total_calls": 14.5},
+        {"total_calls": 14.0},
+        {"informing_calls": True},
+        {"n": "32"},
+        {"completion_round": True},
+        {"completion_round": 5.5},
+        {"outcome": "finished"},
+        {"outcome": 7},
+        {"per_round_informed": "1234"},
+        {"per_round_informed": [1, 2.0]},
+        {"per_round_informed": [1, False]},
+        {"comment": "unexpected key"},
+    ],
+)
+def test_summary_from_dict_rejects_other_forms(changes):
+    summary, _ = sample_run()
+    doc = {**summary_to_dict(summary), **changes}
+    with pytest.raises(TraceFormatError, match="bad summary document: "):
+        summary_from_dict(doc)
+
+
 def test_read_summary_json_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

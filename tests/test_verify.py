@@ -30,7 +30,7 @@ def logged_run(spec=Hybrid(2), n=48, seed=3, schedule=None):
 
 def rewrite(records, index, **changes):
     out = list(records)
-    out[index] = dataclasses.replace(out[index], **changes)
+    out[index] = out[index]._replace(**changes)
     return out
 
 
