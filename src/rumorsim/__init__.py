@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .core import (
     CallKind,
+    CallLog,
     CallOutcome,
     CallRecord,
     NodeStatus,
@@ -80,6 +81,7 @@ from .verify import VerificationReport, verify_summary_against_trace, verify_tra
 __all__ = [
     "BoundsReport",
     "CallKind",
+    "CallLog",
     "CallOutcome",
     "CallRecord",
     "ComparisonReport",

@@ -25,14 +25,18 @@ round-0 setup, the round's target draws, and the callers' state update
 once the round's outcomes are known.  ``execute_round`` is the one round
 kernel.  The test suite keeps a per-call statement of the same semantics
 (``tests/reference_engine.py``) as the oracle the kernel is checked against.
+
+A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
+which ``execute_round`` appends each round's arrays at once.  A
+``CallRecord`` is built only when the log is indexed or iterated.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +83,8 @@ _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
 _STATUS_ENUM = tuple(NodeStatus)
 _KIND_ENUM = tuple(CallKind)
 _OUTCOME_ENUM = tuple(CallOutcome)
+_KIND_CODE = {member: code for code, member in enumerate(_KIND_ENUM)}
+_OUTCOME_CODE = {member: code for code, member in enumerate(_OUTCOME_ENUM)}
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,73 @@ class CallRecord(NamedTuple):
     kind: CallKind
     outcome: CallOutcome
     serial_position: int
+
+    @classmethod
+    def columns_of(cls, records) -> CallRecord:
+        """The records' fields as a ``CallRecord`` of arrays, typed as a
+        ``CallLog``'s columns (which a ``CallLog`` returns as is)."""
+        if isinstance(records, CallLog):
+            return records.columns
+        r, c, t, k, o, s = tuple(zip(*records)) or ((),) * len(cls._fields)
+        k = [_KIND_CODE[kind] for kind in k]
+        o = [_OUTCOME_CODE[outcome] for outcome in o]
+        return cls._make(
+            np.array(values, dtype) for values, dtype in zip((r, c, t, k, o, s), _COLUMN_DTYPES)
+        )
+
+
+# Each CallLog column's dtype, by field.
+_COLUMN_DTYPES = CallRecord(np.int64, np.int64, np.int64, np.int8, np.int8, np.int64)
+
+
+class CallLog(Sequence):
+    """A call trace as six numpy columns, one entry per call, in trace order.
+
+    ``columns`` is a ``CallRecord`` whose fields are the arrays: round,
+    caller, target and serial_position as int64; kind and outcome as int8
+    codes, each a member's index in its enum's declaration order.  Indexing
+    and iteration build ``CallRecord``s on demand; a slice is a ``CallLog``.
+    """
+
+    def __init__(self, columns: CallRecord | None = None):
+        if columns is None:
+            columns = CallRecord._make(np.empty(0, dtype) for dtype in _COLUMN_DTYPES)
+        self._chunks = [columns]
+
+    def append_columns(self, chunk: CallRecord) -> None:
+        """Append calls given as a ``CallRecord`` of equal-length arrays."""
+        self._chunks.append(chunk)
+
+    @property
+    def columns(self) -> CallRecord:
+        if len(self._chunks) > 1:
+            self._chunks = [CallRecord._make(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
+
+    def __len__(self) -> int:
+        return sum(len(chunk.round) for chunk in self._chunks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CallLog(CallRecord._make(column[index] for column in self.columns))
+        r, c, t, k, o, s = (column[index] for column in self.columns)
+        return CallRecord(int(r), int(c), int(t), _KIND_ENUM[k], _OUTCOME_ENUM[o], int(s))
+
+    def __iter__(self):
+        r, c, t, k, o, s = (column.tolist() for column in self.columns)
+        return map(
+            CallRecord, r, c, t,
+            map(_KIND_ENUM.__getitem__, k), map(_OUTCOME_ENUM.__getitem__, o), s,
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, CallLog):
+            return all(map(np.array_equal, self.columns, other.columns))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -404,7 +477,7 @@ class SimulationState:
         self.ever_informed_count = 1
         self._live_uninformed = n - 1
         self.per_round_informed: list[int] = [1]
-        self.log: list[CallRecord] | None = [] if keep_log else None
+        self.log: CallLog | None = CallLog() if keep_log else None
         self._rules.setup(self)
 
     # -- snapshots ---------------------------------------------------------
@@ -553,15 +626,14 @@ def execute_round(state: SimulationState) -> RoundReport:
     )
 
     if state.log is not None:
-        state.log.extend(
-            map(
-                CallRecord,
-                repeat(executed_round, k),
-                s_callers.tolist(),
-                s_targets.tolist(),
-                map(_KIND_ENUM.__getitem__, s_kinds.tolist()),
-                map(_OUTCOME_ENUM.__getitem__, outcomes.tolist()),
-                range(k),
+        state.log.append_columns(
+            CallRecord(
+                np.full(k, executed_round, dtype=np.int64),
+                s_callers,
+                s_targets,
+                s_kinds,
+                outcomes,
+                np.arange(k, dtype=np.int64),
             )
         )
 

@@ -22,7 +22,7 @@ from .core import (
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
-    CallRecord,
+    CallLog,
     TraceSummary,
     default_round_cap,
     init_simulation,
@@ -153,7 +153,7 @@ class SampleStats:
     summaries: tuple[TraceSummary, ...]
     completion_rounds: StatBlock | None
     total_calls: StatBlock
-    traces: tuple[tuple[CallRecord, ...], ...] | None = None
+    traces: tuple[CallLog, ...] | None = None
 
     @property
     def failure_count(self) -> int:
@@ -240,7 +240,7 @@ def run_trials(config: ExperimentConfig) -> SampleStats:
         summary = run(state, config.max_rounds)
         summaries.append(summary)
         if traces is not None:
-            traces.append(tuple(state.log))
+            traces.append(state.log)
     completed = [s for s in summaries if s.outcome == RUN_COMPLETED]
     stalled = sum(1 for s in summaries if s.outcome == RUN_STALLED)
     capped = sum(1 for s in summaries if s.outcome == RUN_CAPPED)

@@ -2,6 +2,14 @@
 
 All writers produce byte-stable output for fixed inputs: fixed field
 order, LF line endings, and floats rendered at six significant digits.
+
+The call trace is written from a ``CallLog``'s columns and parsed back into
+one by numpy operations over the file's bytes, with no Python object per
+row or per cell.  The writer's bytes are those of ``csv.writer`` on the
+records.  The parser accepts what the writer writes, plus blank lines and
+CRLF line ends; a row's integers must be plain decimals of at most 18
+digits, so every value fits in int64 and none is ever clamped.  Any other
+row is reported, with its line number, by the first failing per-row check.
 """
 
 from __future__ import annotations
@@ -10,20 +18,31 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import asdict, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
+
+import numpy as np
 
 from .core import (
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
     CallKind,
+    CallLog,
     CallOutcome,
     CallRecord,
     TraceSummary,
 )
 
 TRACE_COLUMNS = CallRecord._fields
+
+# The text of each kind and outcome code; None marks an integer column.
+_CELL_NAMES = CallRecord(
+    None, None, None, tuple(m.value for m in CallKind), tuple(m.value for m in CallOutcome), None
+)
+_MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
+_COMMA, _NEWLINE, _RETURN, _ZERO = b",\n\r0"
 
 
 def _member_parser(enum, name: str):
@@ -39,9 +58,9 @@ def _member_parser(enum, name: str):
     return parse
 
 
-# How each column's text becomes its field's value. Built as a CallRecord so
-# each parser is named by its own field (a NamedTuple does not check the
-# annotated field types).
+# How each column's text becomes its field's value, for the message about
+# an ill-formed row. Built as a CallRecord so each parser is named by its own
+# field (a NamedTuple does not check the annotated field types).
 _FIELD_PARSERS = CallRecord(
     round=int,
     caller=int,
@@ -49,6 +68,12 @@ _FIELD_PARSERS = CallRecord(
     kind=_member_parser(CallKind, "kind"),
     outcome=_member_parser(CallOutcome, "outcome"),
     serial_position=int,
+)
+
+# A row, blank lines aside, as the bulk parser accepts it.
+_ROW = ",".join(
+    f"[0-9]{{1,{_MAX_DIGITS}}}" if names is None else f"(?:{'|'.join(names)})"
+    for names in _CELL_NAMES
 )
 
 
@@ -108,33 +133,170 @@ def write_text(path: str, text: str) -> str:
     return resolved
 
 
+def _integer_cells(values: np.ndarray):
+    """(width, write): the width of the widest decimal text of ``values``,
+    and a writer of each one's text, right-aligned, into a rows x width
+    array of zeros."""
+    negative = values < 0
+    rest = np.where(negative, -values, values).astype(np.uint64)
+    largest = int(rest.max(initial=0))
+    if largest < 2**32:
+        rest = rest.astype(np.uint32)  # divides faster
+    width = len(str(largest)) + int(negative.any())
+
+    def write(out: np.ndarray) -> None:
+        text = np.empty((width, len(values)), dtype=np.uint8)  # one row per place
+        digits, remaining = np.zeros(len(values), dtype=np.int64), rest
+        for j in range(width - 1, -1, -1):
+            # The last place always holds a digit, so zero is written as "0".
+            live = (remaining > 0) | (j == width - 1)
+            remaining, digit = np.divmod(remaining, 10)
+            text[j] = (_ZERO + digit) * live
+            digits += live
+        text[width - 1 - digits[negative], negative] = ord("-")
+        out[:] = text.T
+
+    return width, write
+
+
+def _name_cells(codes: np.ndarray, names: tuple[str, ...]):
+    """(width, write) as for ``_integer_cells``; names are left-aligned."""
+    table = np.zeros((len(names), max(map(len, names))), dtype=np.uint8)
+    for code, name in enumerate(names):
+        table[code, : len(name)] = np.frombuffer(name.encode(), np.uint8)
+
+    def write(out: np.ndarray) -> None:
+        out[:] = table[codes]
+
+    return table.shape[1], write
+
+
 def format_trace_csv(records: Sequence[CallRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    # A str-valued enum member is written as its value.
-    writer.writerows(records)
-    return out.getvalue()
+    """The trace CSV of a ``CallLog`` or of any sequence of records."""
+    columns = CallRecord.columns_of(records)
+    cells = [
+        _integer_cells(column) if names is None else _name_cells(column, names)
+        for column, names in zip(columns, _CELL_NAMES)
+    ]
+    # Each row is laid out at fixed width, its cells zero-padded and each
+    # followed by a comma or the newline; dropping the zero bytes leaves
+    # the CSV text.
+    table = np.zeros((len(columns.round), sum(width + 1 for width, _ in cells)), np.uint8)
+    offset = 0
+    for width, write in cells:
+        write(table[:, offset : offset + width])
+        table[:, offset + width] = _COMMA
+        offset += width + 1
+    table[:, -1] = _NEWLINE
+    text = table.ravel()
+    return ",".join(TRACE_COLUMNS) + "\n" + text[text != 0].tobytes().decode("ascii")
 
 
 def write_trace_csv(records: Sequence[CallRecord], path: str) -> str:
     return write_text(path, format_trace_csv(records))
 
 
-def parse_trace_csv(text: str) -> list[CallRecord]:
-    reader = csv.reader(io.StringIO(text))
+def parse_trace_csv(text: str) -> CallLog:
+    """The ``CallLog`` of a trace CSV; ``TraceFormatError`` if ill-formed."""
+    return _parse_trace(text.encode())
+
+
+def read_trace_csv(path: str) -> CallLog:
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError("empty trace file") from None
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace file: {exc}") from None
+    return _parse_trace(data)
+
+
+def _parse_trace(data: bytes) -> CallLog:
+    if not data:
+        raise TraceFormatError("empty trace file")
+    header_end = data.find(b"\n")
+    header_end = len(data) if header_end < 0 else header_end
+    header = next(csv.reader([data[:header_end].decode("utf-8", "replace")]), [])
     if tuple(header) != TRACE_COLUMNS:
         raise TraceFormatError(
             f"bad header {header!r}, expected {list(TRACE_COLUMNS)}"
         )
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
+    body = np.frombuffer(data, dtype=np.uint8)[header_end + 1:]
+    columns = _parse_rows(body)
+    if columns is None:
+        _raise_first_bad_row(body.tobytes().decode("utf-8", "replace"))
+    return CallLog(columns)
+
+
+def _parse_rows(body: np.ndarray) -> CallRecord | None:
+    """Every row's columns at once, or None if any line is not blank and
+    not a row that ``_ROW`` matches with a round of at least 1."""
+    ends = np.flatnonzero(body == _NEWLINE)
+    if len(body) and body[-1] != _NEWLINE:
+        ends = np.append(ends, len(body))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # A line may end in a carriage return; blank lines are skipped.
+    ends -= (ends > starts) & (body[np.maximum(ends - 1, 0)] == _RETURN)
+    kept = ends > starts
+    starts, ends = starts[kept], ends[kept]
+    # Commas lie only in kept lines, so five per line are row i's five.
+    commas = np.flatnonzero(body == _COMMA)
+    if len(commas) != 5 * len(starts):
+        return None
+    commas = commas.reshape(-1, 5)
+    if len(starts) and ((commas[:, 0] < starts).any() or (commas[:, 4] >= ends).any()):
+        return None
+    columns = []
+    for j, names in enumerate(_CELL_NAMES):
+        cell_starts = starts if j == 0 else commas[:, j - 1] + 1
+        cell_ends = ends if j == len(_CELL_NAMES) - 1 else commas[:, j].copy()
+        parse = _parse_integers if names is None else _parse_names
+        column = parse(body, cell_starts, cell_ends, names)
+        if column is None:
+            return None
+        columns.append(column)
+    if (columns[0] < 1).any():
+        return None
+    return CallRecord._make(columns)
+
+
+def _parse_integers(body, starts, ends, _) -> np.ndarray | None:
+    widths = ends - starts
+    if len(widths) and (widths.min() < 1 or widths.max() > _MAX_DIGITS):
+        return None
+    values = np.zeros(len(widths), dtype=np.int64)
+    # Digit j counted from the right; cells narrower than j + 1 add nothing.
+    for j in range(int(widths.max(initial=0))):
+        digits = body[ends - 1 - j] - _ZERO
+        present = widths > j
+        if (present & (digits > 9)).any():
+            return None
+        values += np.where(present, digits, 0).astype(np.int64) * 10**j
+    return values
+
+
+def _parse_names(body, starts, ends, names) -> np.ndarray | None:
+    widths = ends - starts
+    codes = np.full(len(widths), -1, dtype=np.int8)
+    for code, name in enumerate(names):
+        rows = np.flatnonzero(widths == len(name))
+        at = starts[rows]
+        match = np.ones(len(rows), dtype=bool)
+        for j, char in enumerate(name.encode()):
+            match &= body[at + j] == char
+        codes[rows[match]] = code
+    return None if (codes < 0).any() else codes
+
+
+def _raise_first_bad_row(body: str) -> NoReturn:
+    """Raise ``TraceFormatError`` for the first line ``_parse_rows`` rejects."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line[:-1] if line.endswith("\r") else line
+        if not line:
             continue
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
         if len(row) != len(TRACE_COLUMNS):
             raise TraceFormatError(
                 f"line {lineno}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
@@ -147,17 +309,12 @@ def parse_trace_csv(text: str) -> list[CallRecord]:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
         if record.round < 1 or min(record.caller, record.target, record.serial_position) < 0:
             raise TraceFormatError(f"line {lineno}: negative or zero-round field")
-        records.append(record)
-    return records
-
-
-def read_trace_csv(path: str) -> list[CallRecord]:
-    try:
-        with open(path, "r", newline="") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read trace file: {exc}") from None
-    return parse_trace_csv(text)
+        if not re.fullmatch(_ROW, line):
+            raise TraceFormatError(
+                f"line {lineno}: integers must be plain decimals of at most "
+                f"{_MAX_DIGITS} digits, with no quotes or spaces: {line!r}"
+            )
+    raise TraceFormatError("ill-formed trace rows")
 
 
 def summary_to_dict(summary: TraceSummary) -> dict:

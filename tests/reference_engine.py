@@ -144,8 +144,14 @@ def apply_call(
         serial_position=serial_position,
     )
     if state.log is not None:
-        state.log.append(record)
+        reference_log(state).append(record)
     return record
+
+
+def reference_log(state: SimulationState) -> list[CallRecord]:
+    """The records ``apply_call`` made on a state that keeps a log, in order;
+    the engine keeps them in a list of its own, apart from ``state.log``."""
+    return state.__dict__.setdefault("reference_log", [])
 
 
 def execute_round_reference(state: SimulationState) -> RoundReport:

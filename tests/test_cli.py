@@ -403,6 +403,40 @@ def test_trace_budget_needs_protocol(trace_files, tmp_path, capsys):
     assert "--R needs --protocol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "n must be >= 1, got 0"),
+        (["--n", "-3"], "n must be >= 1, got -3"),
+        (["--start", "99"], "start 99 out of range for n=8"),
+        (["--n", "64", "--start", "-1"], "start -1 out of range for n=64"),
+    ],
+)
+def test_trace_rejects_impossible_n_or_start(tmp_path, capsys, flags, message):
+    trace = tmp_path / "t.csv"
+    run_cli("simulate", "--n", "8", "--seed", "3", "--trace-out", str(trace))
+    capsys.readouterr()
+    assert run_cli("trace", str(trace), *flags) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", ["1000000000000000", "100000000000000000000"])
+def test_trace_with_huge_n_verifies(trace_files, capsys, n):
+    # Every id of the trace is in range.  A walk does not wrap at such an
+    # n, so the hybrid rules flag the one walk that wraps at 64 nodes.
+    trace, _ = trace_files
+    assert run_cli("trace", str(trace), "--n", n) == EXIT_OK
+    doc = out_json(capsys)
+    assert doc["ok"] is True and doc["n"] == int(n)
+    code = run_cli("trace", str(trace), "--n", n, "--protocol", "hybrid", "--R", "2")
+    assert code == EXIT_VIOLATION
+    doc = out_json(capsys)
+    assert doc["n"] == int(n)
+    assert doc["violations"] == ["round 9 serial 18: caller 3 walks to 0, expected 64 after 63"]
+
+
 # -------------------------------------------------------------- config files
 
 

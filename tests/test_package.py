@@ -24,3 +24,11 @@ def test_verifier_imports_only_record_types_from_the_kernel():
         if isinstance(node, ast.Import):
             assert all(alias.name != "rumorsim.core" for alias in node.names)
     assert from_core == {"CallKind", "CallOutcome", "CallRecord", "TraceSummary"}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >=3.10.
+    sources = sorted(pathlib.Path(rumorsim.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

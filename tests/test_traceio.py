@@ -1,8 +1,11 @@
 """File format tests: round trips, byte stability, and rejection paths."""
 
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from rumorsim.core import CallKind, CallOutcome, CallRecord, init_simulation, run
 from rumorsim.protocols import Hybrid
@@ -24,6 +27,8 @@ from rumorsim.traceio import (
     write_text,
     write_trace_csv,
 )
+
+from test_verify_oracle import runs
 
 
 def sample_run(seed=5, n=32):
@@ -125,6 +130,77 @@ def test_trace_csv_skips_blank_lines():
     assert records == [
         CallRecord(1, 0, 1, CallKind.INITIAL_SUCCESSOR, CallOutcome.INFORMED, 0)
     ]
+
+
+HEADER = "round,caller,target,kind,outcome,serial_position\n"
+
+
+def csv_module_text(records):
+    """The trace CSV as the csv module writes it, a row per record."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CallRecord._fields)
+    writer.writerows(records)
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=runs())
+def test_trace_csv_round_trips_every_protocol(run):
+    *_, log = run
+    text = format_trace_csv(log)
+    assert text == csv_module_text(log)
+    parsed = parse_trace_csv(text)
+    assert parsed == log
+    assert format_trace_csv(parsed) == text
+
+
+def test_trace_csv_writes_any_int64():
+    records = [
+        CallRecord(1, -5, 0, CallKind.RANDOM, CallOutcome.INFORMED, -(2**63)),
+        CallRecord(10, 0, -1, CallKind.SEQUENTIAL, CallOutcome.CRASHED_TARGET, 2**63 - 1),
+    ]
+    assert format_trace_csv(records) == csv_module_text(records)
+    assert format_trace_csv([]) == HEADER
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 5])
+@pytest.mark.parametrize("cell", ["99999999999999999999", "1000000000000000000"])
+def test_trace_csv_rejects_integers_beyond_18_digits(column, cell):
+    # Never clamped to int64: the first is out of its range, and neither
+    # is a plain decimal of at most 18 digits.
+    row = ["1", "0", "1", "random", "informed", "0"]
+    row[column] = cell
+    text = HEADER + "1,0,1,initial_successor,informed,0\n" + ",".join(row) + "\n"
+    with pytest.raises(TraceFormatError, match=r"^line 3: .* at most 18 digits"):
+        parse_trace_csv(text)
+
+
+def test_trace_csv_reads_18_digit_integers():
+    text = HEADER + "1,0,999999999999999999,random,informed,0\n"
+    assert parse_trace_csv(text)[0].target == 10**18 - 1
+
+
+@pytest.mark.parametrize("row", ["+1,0,1,random,informed,0", " 1,0,1,random,informed,0",
+                                 "1_0,0,1,random,informed,0", '"1",0,1,random,informed,0'])
+def test_trace_csv_rejects_integers_that_are_not_plain_decimals(row):
+    with pytest.raises(TraceFormatError, match=r"^line 2: integers must be plain decimals"):
+        parse_trace_csv(HEADER + row + "\n")
+
+
+def test_trace_csv_accepts_crlf_blank_lines_and_no_final_newline():
+    _, records = sample_run()
+    text = format_trace_csv(records)
+    body = text[len(HEADER):].splitlines()
+    assert parse_trace_csv(text.replace("\n", "\r\n")) == records
+    assert parse_trace_csv(HEADER + "\n\n" + "\n\r\n".join(body)) == records
+    assert parse_trace_csv(HEADER) == []
+
+
+def test_trace_csv_error_names_the_line_after_blank_lines():
+    text = HEADER + "1,0,1,initial_successor,informed,0\n\n\n2,0,x,sequential,informed,0\n"
+    with pytest.raises(TraceFormatError, match="^line 5: invalid literal"):
+        parse_trace_csv(text)
 
 
 # -------------------------------------------------------------- summary JSON

@@ -1,6 +1,7 @@
 """Trace re-verification tests: clean traces pass, forged traces are caught."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -253,6 +254,46 @@ def test_violation_list_is_bounded():
     ]
     report = verify_trace(records, n=256, start=0, max_violations=10)
     assert len(report.violations) <= 10
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(n=0), "n must be >= 1, got 0"),
+        (dict(n=-3), "n must be >= 1, got -3"),
+        (dict(n=8, start=8), "start 8 out of range for n=8"),
+        (dict(start=-1), "start -1 out of range for n=48"),
+        (dict(start=99), "start 99 out of range for n=48"),
+    ],
+)
+def test_impossible_n_or_start_is_an_error_not_a_violation(options, message):
+    _, records = logged_run()
+    with pytest.raises(ValueError, match=message):
+        verify_trace(records, **options)
+
+
+def test_huge_node_ids_cost_memory_for_the_trace_only():
+    huge = 10**15
+    records = [
+        CallRecord(1, 0, huge, RANDOM, INFORMED, 0),
+        CallRecord(2, huge, 1, RANDOM, INFORMED, 0),
+        CallRecord(2, 0, huge - 1, RANDOM, ALREADY, 1),
+    ]
+    tracemalloc.start()
+    try:
+        inferred = verify_trace(records, spec=FullyRandomPush())
+        given = verify_trace(records, n=huge, spec=FullyRandomPush(), start=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert inferred.n == huge + 1
+    assert inferred.violations == (
+        "round 2 serial 1: already-informed outcome but target 999999999999999 is not",
+    )
+    assert given.violations[0] == (
+        "round 1 serial 0: node id out of range (caller 0, target 1000000000000000)"
+    )
 
 
 # Each forged trace breaks one rule, and its case asserts that rule's own
