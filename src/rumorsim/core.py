@@ -23,8 +23,11 @@ always reproduces the same call sequence bit for bit.
 Each protocol's rules live in one private rules object: the start node's
 round-0 setup, the round's target draws, and the callers' state update
 once the round's outcomes are known.  ``execute_round`` is the one round
-kernel.  The test suite keeps a per-call statement of the same semantics
-(``tests/reference_engine.py``) as the oracle the kernel is checked against.
+kernel.  It works in caller (ascending id) order: the serialization only
+breaks ties among calls to the same uninformed target, which a scatter-min
+of serial positions resolves, and orders a kept log.  The test suite keeps
+a per-call statement of the same semantics (``tests/reference_engine.py``)
+as the oracle the kernel is checked against.
 
 A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
 which ``execute_round`` appends each round's arrays at once.  A
@@ -78,6 +81,7 @@ _UNINFORMED, _INFORMED, _STOPPED, _CRASHED = 0, 1, 2, 3
 _M_NONE, _M_SEQ, _M_PENDING = 0, 1, 2
 _K_INITIAL, _K_SEQUENTIAL, _K_RANDOM = 0, 1, 2
 _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
+_NO_SERIAL = np.iinfo(np.int64).max
 
 # Code -> member tables; each enum's declaration order is its code order.
 _STATUS_ENUM = tuple(NodeStatus)
@@ -230,6 +234,13 @@ def successor(i: int, n: int) -> int:
     return (i + 1) % n
 
 
+def _successors(ids: np.ndarray, n: int) -> np.ndarray:
+    """``(ids + 1) % n`` for node ids in ``[0, n)``, as a wrap."""
+    nxt = ids + 1
+    nxt[nxt == n] = 0
+    return nxt
+
+
 def default_round_cap(n: int) -> int:
     """Generous default round cap, far above every closed-form bound."""
     if n < 1:
@@ -259,8 +270,10 @@ class _Rules:
     def settle(self, state, callers, targets, informed, already, crashed) -> None:
         """Update the callers' protocol state after the round's outcomes.
 
-        ``callers`` and ``targets`` are in serial order; the three boolean
-        masks mark the informing, encounter and crashed-target calls.
+        ``callers`` and ``targets`` are in caller order, as ``draw`` got
+        and gave them; the three boolean masks mark the informing,
+        encounter and crashed-target calls.  Each caller calls once, so no
+        update depends on the serial order.
         """
         raise NotImplementedError
 
@@ -311,7 +324,7 @@ class _HybridRules(_Rules):
         # partition the callers and the updates below are independent.
         ic = callers[informed]
         state._mode[ic] = _M_SEQ
-        state._next_target[ic] = (new_targets + 1) % n
+        state._next_target[ic] = _successors(new_targets, n)
 
         ac = callers[already]
         bumped = state._encounters[ac] + 1
@@ -327,7 +340,7 @@ class _HybridRules(_Rules):
         cc = callers[crashed]
         ct = targets[crashed]
         walker = state._mode[cc] == _M_SEQ
-        state._next_target[cc[walker]] = (ct[walker] + 1) % n
+        state._next_target[cc[walker]] = _successors(ct[walker], n)
 
 
 class _SharedListRules(_Rules):
@@ -348,7 +361,7 @@ class _SharedListRules(_Rules):
         return state._next_target[callers], kinds
 
     def settle(self, state, callers, targets, informed, already, crashed):
-        state._next_target[callers] = (targets + 1) % state.n
+        state._next_target[callers] = _successors(targets, state.n)
 
     def node_fields(self, state, i):
         position = int(state._next_target[i])
@@ -466,6 +479,8 @@ class SimulationState:
         self._encounters = np.zeros(n, dtype=np.int64)
         self._informed_at = np.full(n, -1, dtype=np.int64)
         self._informer = np.full(n, -1, dtype=np.int64)
+        # ``execute_round``'s first-writer scratch; all sentinel between rounds.
+        self._first_serial = np.full(n, _NO_SERIAL, dtype=np.int64)
 
         self.total_calls = 0
         self.informing_calls = 0
@@ -572,9 +587,12 @@ def execute_round(state: SimulationState) -> RoundReport:
     protocol's rules draw every caller's target, a fresh random permutation
     serializes the calls, the first call in serial order to reach each
     uninformed target informs it, and the protocol's rules settle the
-    callers' state.  ``tests/reference_engine.py`` applies the same calls
-    one by one; the test suite asserts that both produce the same records,
-    state, and RNG consumption.
+    callers' state.  All of it runs in caller order; the permutation is
+    read only to find those first calls (a scatter-min of serial positions
+    into a per-state scratch that holds a sentinel between rounds) and to
+    write a kept log in serial order.  ``tests/reference_engine.py``
+    applies the same calls one by one; the test suite asserts that both
+    produce the same records, state, and RNG consumption.
     """
     executed_round = state.round + 1
     state._apply_crashes(executed_round)
@@ -590,49 +608,51 @@ def execute_round(state: SimulationState) -> RoundReport:
         return _empty_round(state, executed_round)
     targets, kinds = state._rules.draw(state, callers)
     order = state.rng.permutation(k)
-    s_callers = callers[order]
-    s_targets = targets[order]
-    s_kinds = kinds[order]
 
     # Outcomes: targets crashed before the round stay crashed; among calls
-    # to targets uninformed at round start, the first at each target (in
-    # serial order) informs it, later ones find it already informed.
-    t_status = state._status[s_targets]
-    outcomes = np.full(k, _O_ALREADY, dtype=np.int8)
-    outcomes[t_status == _CRASHED] = _O_CRASHED
-    open_positions = np.nonzero(t_status == _UNINFORMED)[0]
-    if len(open_positions):
-        _, first = np.unique(s_targets[open_positions], return_index=True)
-        outcomes[open_positions[first]] = _O_INFORMED
+    # to targets uninformed at round start, the first at each target in
+    # serial order informs it, later ones find it already informed.
+    t_status = state._status[targets]
+    crashed_mask = t_status == _CRASHED
+    open_serial = np.flatnonzero((t_status == _UNINFORMED)[order])
+    open_calls = order[open_serial]
+    open_targets = targets[open_calls]
+    first = state._first_serial
+    np.minimum.at(first, open_targets, open_serial)
+    winners = open_calls[first[open_targets] == open_serial]
+    first[open_targets] = _NO_SERIAL
+    informed_mask = np.zeros(k, dtype=bool)
+    informed_mask[winners] = True
+    already_mask = ~(informed_mask | crashed_mask)
+    new_targets = targets[winners]
 
-    informed_mask = outcomes == _O_INFORMED
-    already_mask = outcomes == _O_ALREADY
-    crashed_mask = outcomes == _O_CRASHED
-    new_targets = s_targets[informed_mask]
-
+    crashed = int(np.count_nonzero(crashed_mask))
     state.total_calls += k
-    state.informing_calls += int(informed_mask.sum())
-    state.encounter_calls += int(already_mask.sum())
-    state.crashed_target_calls += int(crashed_mask.sum())
+    state.informing_calls += len(winners)
+    state.encounter_calls += k - len(winners) - crashed
+    state.crashed_target_calls += crashed
 
     state._status[new_targets] = _INFORMED
     state._informed_at[new_targets] = executed_round
-    state._informer[new_targets] = s_callers[informed_mask]
+    state._informer[new_targets] = callers[winners]
     state.ever_informed_count += len(new_targets)
     state._live_uninformed -= len(new_targets)
 
     state._rules.settle(
-        state, s_callers, s_targets, informed_mask, already_mask, crashed_mask
+        state, callers, targets, informed_mask, already_mask, crashed_mask
     )
 
     if state.log is not None:
+        outcomes = np.full(k, _O_ALREADY, dtype=np.int8)
+        outcomes[crashed_mask] = _O_CRASHED
+        outcomes[winners] = _O_INFORMED
         state.log.append_columns(
             CallRecord(
                 np.full(k, executed_round, dtype=np.int64),
-                s_callers,
-                s_targets,
-                s_kinds,
-                outcomes,
+                callers[order],
+                targets[order],
+                kinds[order],
+                outcomes[order],
                 np.arange(k, dtype=np.int64),
             )
         )

@@ -322,24 +322,26 @@ def summary_to_dict(summary: TraceSummary) -> dict:
     return {**asdict(summary), "per_round_informed": list(summary.per_round_informed)}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # The form a summary document's value must take, by field; every field not
-# listed is a count and must be a JSON integer.
+# listed is a count and must be a non-negative JSON integer.
 _SUMMARY_FORMS = {
     "outcome": (
         "completed, stalled or capped",
         lambda v: v in (RUN_COMPLETED, RUN_STALLED, RUN_CAPPED),
     ),
-    "completion_round": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "completion_round": (
+        "a non-negative integer or null", lambda v: v is None or _is_count(v)
+    ),
     "per_round_informed": (
-        "an array of integers",
-        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        "an array of non-negative integers",
+        lambda v: isinstance(v, list) and all(map(_is_count, v)),
     ),
 }
-_COUNT_FORM = ("an integer", _is_int)
+_COUNT_FORM = ("a non-negative integer", _is_count)
 
 
 def summary_from_dict(doc: dict) -> TraceSummary:

@@ -467,6 +467,8 @@ def verify_summary_against_trace(
             f"per_round_informed has {len(prof)} entries for "
             f"{summary.rounds_executed} executed rounds"
         )
+    elif not prof:
+        violations.append("per_round_informed is empty; it starts at round 0")
     else:
         informing = columns.round[columns.outcome == INFORMED]
         informing = informing[(informing >= 1) & (informing < len(prof))]

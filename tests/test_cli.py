@@ -359,6 +359,24 @@ def test_trace_rejects_summary_with_fractional_counts(tmp_path, capsys):
     assert "bad summary document: " in captured.err
 
 
+def test_trace_rejects_summary_with_negative_rounds(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    run_cli("simulate", "--n", "8", "--seed", "3",
+            "--trace-out", str(trace), "--summary-out", str(summary))
+    capsys.readouterr()
+    doc = json.loads(summary.read_text())
+    doc.update(rounds_executed=-1, per_round_informed=[])
+    summary.write_text(json.dumps(doc))
+    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad summary document: rounds_executed must be a non-negative "
+        "integer, got -1\n"
+    )
+
+
 def test_trace_config_file_sets_every_flag(trace_files, tmp_path, capsys):
     trace, summary = trace_files
     config = tmp_path / "conf.json"

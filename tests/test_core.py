@@ -7,6 +7,7 @@ checked line by line before freezing the seed.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim.core import (
+    _NO_SERIAL,
     CallKind,
     CallOutcome,
     NodeStatus,
@@ -489,6 +491,72 @@ def test_vectorized_round_matches_reference_engine(spec):
         assert [states[0].node(i) for i in range(48)] == [
             states[1].node(i) for i in range(48)
         ]
+        assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+
+
+def execute_round_leaving_clean_scratch(state):
+    report = execute_round(state)
+    assert (state._first_serial == _NO_SERIAL).all()
+    return report
+
+
+@st.composite
+def kernel_configs(draw):
+    spec = draw(st.sampled_from(
+        [Hybrid(r) for r in range(1, 5)]
+        + [Quasirandom("identical"), Quasirandom("independent"), FullyRandomPush()]
+    ))
+    n = draw(st.integers(min_value=1, max_value=64))
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    # With n = 1 a random call has no target but the caller itself.
+    allow_self_calls = n == 1 or draw(st.booleans())
+    everyone = draw(st.booleans())
+    crashing = set(range(n)) if everyone else draw(st.sets(st.integers(0, n - 1)))
+    schedule = {
+        node: draw(st.integers(min_value=0, max_value=8))
+        for node in sorted(crashing - {start})
+    }
+    seed = draw(st.integers(min_value=0, max_value=2**63 - 1))
+    return spec, n, start, allow_self_calls, schedule, seed
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(config=kernel_configs())
+def test_property_kernel_matches_reference_engine(config):
+    spec, n, start, allow_self_calls, schedule, seed = config
+    states = [
+        init_simulation(
+            spec, n, start, seed=seed, crash_schedule=schedule,
+            allow_self_calls=allow_self_calls, keep_log=True,
+        )
+        for _ in range(2)
+    ]
+    fast = run(states[0], round_engine=execute_round_leaving_clean_scratch)
+    ref = run(states[1], round_engine=execute_round_reference)
+    assert fast == ref
+    assert list(states[0].log) == reference_log(states[1])
+    arrays = ("_status", "_mode", "_next_target", "_encounters", "_informed_at", "_informer")
+    for name in arrays:
+        assert np.array_equal(getattr(states[0], name), getattr(states[1], name)), name
+    if isinstance(spec, Quasirandom) and spec.lists == "independent":
+        assert np.array_equal(states[0]._rules.list_index, states[1]._rules.list_index)
+        assert states[0]._rules.drawn == states[1]._rules.drawn
+    assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+
+
+def test_round_allocates_no_per_node_array():
+    # One caller in a large world: the round's temporaries are sized by
+    # its calls, apart from one boolean scan of the status array.
+    n = 2**18
+    state = init_simulation(Hybrid(4), n, seed=0)
+    tracemalloc.start()
+    try:
+        report = execute_round(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.calls_made == 1
+    assert peak / n < 2
 
 
 # ------------------------------------------------------ property-based runs

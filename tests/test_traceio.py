@@ -262,6 +262,25 @@ def test_summary_from_dict_rejects_other_forms(changes):
         summary_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "changes, name",
+    [
+        ({"n": -8}, "n"),
+        ({"total_calls": -1}, "total_calls"),
+        ({"crashed_target_calls": -2}, "crashed_target_calls"),
+        ({"rounds_executed": -1, "per_round_informed": []}, "rounds_executed"),
+        ({"completion_round": -1}, "completion_round"),
+        ({"per_round_informed": [1, -2]}, "per_round_informed"),
+    ],
+)
+def test_summary_from_dict_rejects_negative_values(changes, name):
+    summary, _ = sample_run()
+    doc = {**summary_to_dict(summary), **changes}
+    pattern = rf"^bad summary document: {name} must be .*non-negative integer"
+    with pytest.raises(TraceFormatError, match=pattern):
+        summary_from_dict(doc)
+
+
 def test_read_summary_json_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

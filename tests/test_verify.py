@@ -456,6 +456,14 @@ def test_summary_profile_tampering_is_caught():
     assert verify_summary_against_trace(bad, records)
 
 
+def test_summary_with_empty_profile_is_a_violation():
+    summary, records = logged_run()
+    bad = dataclasses.replace(summary, rounds_executed=-1, per_round_informed=())
+    assert "per_round_informed is empty; it starts at round 0" in (
+        verify_summary_against_trace(bad, records)
+    )
+
+
 def test_summary_completion_before_last_round_is_caught():
     summary, records = logged_run()
     bad = dataclasses.replace(summary, completion_round=0)
