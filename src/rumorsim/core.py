@@ -29,6 +29,14 @@ of serial positions resolves, and orders a kept log.  The test suite keeps
 a per-call statement of the same semantics (``tests/reference_engine.py``)
 as the oracle the kernel is checked against.
 
+Every draw is vectorised.  Independent lists keep each node's drawn prefix
+in an int32 node-by-call-index table and extend it by a block draw: one
+``integers(0, n, size=m)`` for the m callers that need an entry, a bulk
+test of each value against its caller's prefix, and on a rejection the
+callers from there on take the stream's following values.  That consumes
+the generator exactly as one scalar draw per value, with a redraw on each
+value the caller already holds, would.
+
 A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
 which ``execute_round`` appends each round's arrays at once.  A
 ``CallRecord`` is built only when the log is indexed or iterated.
@@ -310,7 +318,8 @@ class _HybridRules(_Rules):
             and state._mode[start] == _M_SEQ
             and state._encounters[start] == 0
         ):
-            kinds[callers == start] = _K_INITIAL
+            # An informed start is a caller; callers arrive sorted.
+            kinds[np.searchsorted(callers, start)] = _K_INITIAL
         return targets, kinds
 
     def settle(self, state, callers, targets, informed, already, crashed):
@@ -329,10 +338,15 @@ class _HybridRules(_Rules):
         ac = callers[already]
         bumped = state._encounters[ac] + 1
         state._encounters[ac] = bumped
+        stop = bumped >= self.stop_budget
         # The starting node's first encounter only ends its initial walk.
-        stop = bumped >= self.stop_budget + (ac == state.start)
-        state._status[ac[stop]] = _STOPPED
-        state._mode[ac] = np.where(stop, _M_NONE, _M_PENDING)
+        at = np.searchsorted(ac, state.start)
+        if at < len(ac) and ac[at] == state.start:
+            stop[at] = bumped[at] > self.stop_budget
+        stopped = ac[stop]
+        state._status[stopped] = _STOPPED
+        state._mode[ac] = _M_PENDING
+        state._mode[stopped] = _M_NONE
         state._next_target[ac] = -1
 
         # A crashed target costs no budget: walkers step past it, random
@@ -370,39 +384,88 @@ class _SharedListRules(_Rules):
 
 class _IndependentListRules(_Rules):
     """Quasirandom with independent lists: each node walks its own uniformly
-    random cyclic permutation, materialized lazily one entry at a time."""
+    random cyclic permutation, materialized lazily one entry at a time.
+
+    ``drawn[i, j]`` is node ``i``'s ``j``-th list entry, -1 where not drawn
+    yet; its columns grow as the longest prefix does, up to ``n``.  A node's
+    ``list_index`` counts its calls, and once its list holds all ``n``
+    entries it calls ``drawn[i, list_index % n]``.
+    """
+
+    # Callers tested per block draw; a rejected value costs a re-test of at
+    # most this many callers, whatever the round's size.
+    CHUNK = 2048
 
     def __init__(self, n: int):
-        self.drawn: dict[int, list[int]] = {}
+        self.drawn = np.full((n, 0), -1, dtype=np.int32)
         self.list_index = np.zeros(n, dtype=np.int64)
 
-    def _next_target(self, state, caller: int) -> int:
-        drawn = self.drawn.setdefault(caller, [])
-        idx = int(self.list_index[caller])
-        if idx < len(drawn):
-            return drawn[idx]
-        if len(drawn) == state.n:
-            return drawn[idx % state.n]
-        while True:
-            candidate = int(state.rng.integers(0, state.n))
-            if candidate not in drawn:
-                break
-        drawn.append(candidate)
-        return candidate
+    def prefix(self, i: int) -> np.ndarray:
+        return self.drawn[i, : min(int(self.list_index[i]), len(self.drawn))]
+
+    def _widen(self, width: int) -> None:
+        n, old = self.drawn.shape
+        if width > old:
+            # A run takes about log2 n + ln n rounds, so one allocation of
+            # 2 log2 n columns mostly suffices; each growth adds half.
+            grown = max(old + old // 2, 2 * n.bit_length())
+            wider = np.empty((n, min(n, max(width, grown))), dtype=np.int32)
+            wider[:, :old] = self.drawn
+            wider[:, old:] = -1
+            self.drawn = wider
+
+    def _draw_fresh(self, rng, callers, idx) -> np.ndarray:
+        """Each caller's next list entry: the first value of the stream that
+        its prefix does not hold yet, callers served in the order given.
+
+        This consumes the generator exactly as one scalar draw per value,
+        with a redraw on each rejection, would: ``rng.integers(0, n,
+        size=m)`` yields the values, and leaves the state, of ``m`` scalar
+        draws, and no more values are drawn than callers are left.
+        """
+        n = len(self.drawn)
+        m = len(callers)
+        values = np.empty(m, dtype=np.int32)
+        if m == 0:
+            return values
+        self._widen(int(idx.max()) + 1)
+        stream = np.empty(0, dtype=np.int32)  # drawn, not yet handed to a caller
+        pos = 0
+        while pos < m:
+            end = min(pos + self.CHUNK, m)
+            if len(stream) < end - pos:
+                fresh = rng.integers(0, n, size=end - pos - len(stream)).astype(np.int32)
+                stream = np.concatenate((stream, fresh))
+            block = stream[: end - pos]
+            # Each caller's own entry (column ``idx``) is still -1, so the
+            # block is at least one column wide and the first hit in
+            # row-major order is in the first rejecting caller's row.
+            width = int(idx[pos:end].max()) + 1
+            seen = self.drawn[callers[pos:end], :width] == block[:, None]
+            hit = int(seen.argmax())
+            taken = hit // width if seen.flat[hit] else end - pos
+            values[pos : pos + taken] = block[:taken]
+            pos += taken
+            # A rejected value is spent; its caller takes the next one.
+            stream = stream[taken + 1 :]
+        self.drawn[callers, idx] = values
+        return values
 
     def draw(self, state, callers):
-        targets = np.array(
-            [self._next_target(state, caller) for caller in callers.tolist()],
-            dtype=np.int64,
-        )
+        idx = self.list_index[callers]
+        targets = np.empty(len(callers), dtype=np.int64)
+        fresh = idx < state.n
+        targets[fresh] = self._draw_fresh(state.rng, callers[fresh], idx[fresh])
+        lapped = ~fresh
+        targets[lapped] = self.drawn[callers[lapped], idx[lapped] % state.n]
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
 
     def settle(self, state, callers, targets, informed, already, crashed):
         self.list_index[callers] += 1
 
     def node_fields(self, state, i):
-        if state._status[i] == _INFORMED or i in self.drawn:
-            return None, int(self.list_index[i]), tuple(self.drawn.get(i, ()))
+        if state._status[i] == _INFORMED or self.list_index[i] > 0:
+            return None, int(self.list_index[i]), tuple(self.prefix(i).tolist())
         return None, None, None
 
 

@@ -4,13 +4,18 @@
 serialization permutation as ``core.execute_round``, and applies the calls
 one by one through ``apply_call``.  ``apply_call`` states every protocol's
 per-call transition rules on its own; it shares no state-update code with
-the kernel's rules objects.  Only the draw step is shared, because the
-order of random draws is the reproducibility contract both engines meet.
+the kernel's rules objects.  The draw step is shared for every protocol but
+independent lists, because the order of random draws is the
+reproducibility contract both engines meet.  Independent lists draw one
+scalar per caller here, with a redraw on each value the caller's list
+already holds, and keep the lists in a store of their own
+(``reference_drawn``), so the kernel's block draw is checked against code
+it does not share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from rumorsim.core import (
     SimulationState,
     _empty_round,
 )
-from rumorsim.protocols import LISTS_IDENTICAL, Hybrid, Quasirandom
+from rumorsim.protocols import LISTS_IDENTICAL, LISTS_INDEPENDENT, Hybrid, Quasirandom
 
 
 @dataclass(frozen=True)
@@ -50,16 +55,54 @@ def collect_intents(state: SimulationState) -> list[CallIntent]:
     Eligible callers are the nodes informed in an earlier round that have
     neither stopped nor crashed.  Their targets are drawn by the kernel's
     own draw step, advancing the state RNG; within a round this runs
-    exactly once, as the first step of a round.
+    exactly once, as the first step of a round.  Independent lists draw
+    through ``independent_list_target`` instead.
     """
     callers = np.nonzero(state._status == _INFORMED)[0]
     if len(callers) == 0:
         return []
+    spec = state.spec
+    if isinstance(spec, Quasirandom) and spec.lists == LISTS_INDEPENDENT:
+        return [
+            CallIntent(caller, independent_list_target(state, caller), CallKind.SEQUENTIAL)
+            for caller in callers.tolist()
+        ]
     targets, kinds = state._rules.draw(state, callers)
     return [
         CallIntent(int(c), int(t), _KIND_ENUM[k])
         for c, t, k in zip(callers, targets, kinds)
     ]
+
+
+def reference_drawn(state: SimulationState) -> dict[int, list[int]]:
+    """Each independent-list caller's drawn list prefix, as the engine drew
+    it; kept apart from the kernel's rules object."""
+    return state.__dict__.setdefault("reference_drawn", {})
+
+
+def reference_node(state: SimulationState, i: int):
+    """``state.node(i)``, with an independent-list node's call sequence taken
+    from ``reference_drawn``."""
+    node = state.node(i)
+    if node.call_sequence is None:
+        return node
+    return replace(node, call_sequence=tuple(reference_drawn(state).get(i, ())))
+
+
+def independent_list_target(state: SimulationState, caller: int) -> int:
+    """The caller's next list entry: a fresh uniformly random node its list
+    does not hold yet, or, once the list holds all n nodes, the entry at
+    its call index modulo n."""
+    drawn = reference_drawn(state).setdefault(caller, [])
+    idx = int(state._rules.list_index[caller])
+    if len(drawn) == state.n:
+        return drawn[idx % state.n]
+    while True:
+        candidate = int(state.rng.integers(0, state.n))
+        if candidate not in drawn:
+            break
+    drawn.append(candidate)
+    return candidate
 
 
 def _advance_list_caller(state: SimulationState, caller: int, target: int) -> None:

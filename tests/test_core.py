@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rumorsim.core import (
     _NO_SERIAL,
+    _IndependentListRules,
     CallKind,
     CallOutcome,
     NodeStatus,
@@ -39,7 +40,10 @@ from reference_engine import (
     apply_call,
     collect_intents,
     execute_round_reference,
+    independent_list_target,
+    reference_drawn,
     reference_log,
+    reference_node,
 )
 
 ALL_SPECS = [
@@ -489,7 +493,7 @@ def test_vectorized_round_matches_reference_engine(spec):
         assert fast == ref
         assert list(states[0].log) == reference_log(states[1])
         assert [states[0].node(i) for i in range(48)] == [
-            states[1].node(i) for i in range(48)
+            reference_node(states[1], i) for i in range(48)
         ]
         assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
 
@@ -524,12 +528,14 @@ def kernel_configs(draw):
 @given(config=kernel_configs())
 def test_property_kernel_matches_reference_engine(config):
     spec, n, start, allow_self_calls, schedule, seed = config
+    assert_kernel_matches_reference(
+        spec, n, seed, start, crash_schedule=schedule, allow_self_calls=allow_self_calls
+    )
+
+
+def assert_kernel_matches_reference(spec, n, seed, start=0, **options):
     states = [
-        init_simulation(
-            spec, n, start, seed=seed, crash_schedule=schedule,
-            allow_self_calls=allow_self_calls, keep_log=True,
-        )
-        for _ in range(2)
+        init_simulation(spec, n, start, seed=seed, keep_log=True, **options) for _ in range(2)
     ]
     fast = run(states[0], round_engine=execute_round_leaving_clean_scratch)
     ref = run(states[1], round_engine=execute_round_reference)
@@ -539,9 +545,71 @@ def test_property_kernel_matches_reference_engine(config):
     for name in arrays:
         assert np.array_equal(getattr(states[0], name), getattr(states[1], name)), name
     if isinstance(spec, Quasirandom) and spec.lists == "independent":
-        assert np.array_equal(states[0]._rules.list_index, states[1]._rules.list_index)
-        assert states[0]._rules.drawn == states[1]._rules.drawn
+        assert_same_independent_lists(states[0], states[1])
     assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+
+
+def assert_same_independent_lists(kernel_state, reference_state):
+    rules = kernel_state._rules
+    assert np.array_equal(rules.list_index, reference_state._rules.list_index)
+    drawn = reference_drawn(reference_state)
+    for i in range(kernel_state.n):
+        assert rules.prefix(i).tolist() == drawn.get(i, []), i
+
+
+# ----------------------------------------- independent lists' block draw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 2**14, 2**20])
+def test_block_integers_draw_equals_scalar_draws(n):
+    # The independent-lists block draw relies on this: one draw of m values
+    # yields the values of m scalar draws and leaves the same state.
+    block_rng, scalar_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for m in (1, 5, 1000):
+        block = block_rng.integers(0, n, size=m)
+        assert block.tolist() == [int(scalar_rng.integers(0, n)) for _ in range(m)]
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_independent_lists_kernel_matches_reference_at_4096(seed):
+    # Rounds of up to 4096 callers span two block-draw chunks, and each
+    # late round rejects several values.
+    assert_kernel_matches_reference(Quasirandom("independent"), 2**12, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_independent_lists_small_chunks_match_reference(chunk, monkeypatch):
+    # Small chunks make rejections and the values carried over to the next
+    # chunk fall at every position of a chunk.
+    monkeypatch.setattr(_IndependentListRules, "CHUNK", chunk)
+    for n, seed, allow_self_calls in itertools.product((3, 17, 64), range(4), (True, False)):
+        assert_kernel_matches_reference(
+            Quasirandom("independent"), n, seed, allow_self_calls=allow_self_calls
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_independent_lists_laps_match_reference(n):
+    # A run completes before any list is full (a node that has called all
+    # n nodes has informed them), so drive the draw directly: a random
+    # subset of the nodes calls each round, up to several laps each.
+    kernel, reference = (
+        init_simulation(Quasirandom("independent"), n, seed=n) for _ in range(2)
+    )
+    pick = np.random.default_rng(99)
+    for _ in range(6 * n):
+        callers = np.flatnonzero(pick.random(n) < 0.7)
+        if len(callers) == 0:
+            continue
+        targets, _ = kernel._rules.draw(kernel, callers)
+        kernel._rules.settle(kernel, callers, targets, None, None, None)
+        expected = [independent_list_target(reference, c) for c in callers.tolist()]
+        reference._rules.list_index[callers] += 1
+        assert targets.tolist() == expected
+    assert kernel._rules.list_index.max() >= 3 * n
+    assert_same_independent_lists(kernel, reference)
+    assert kernel.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_round_allocates_no_per_node_array():
