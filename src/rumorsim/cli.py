@@ -21,6 +21,7 @@ import argparse
 import json
 import secrets
 import sys
+from contextlib import contextmanager
 
 from .bounds import bounds_report, optimal_stop_budget
 from .core import RUN_CAPPED, RUN_COMPLETED, RUN_STALLED, run
@@ -179,10 +180,20 @@ def _resolve_crash_model(args: argparse.Namespace) -> CrashModel | None:
     )
 
 
+@contextmanager
+def _writing(path: str):
+    """Report a failed write of an output file as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path is not None:
-        write_text(out_path, text)
+        with _writing(out_path):
+            write_text(out_path, text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -203,7 +214,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     _emit(format_json(summary_to_dict(summary)), args.summary_out)
     if args.trace_out is not None:
-        write_trace_csv(state.log, args.trace_out)
+        with _writing(args.trace_out):
+            write_trace_csv(state.log, args.trace_out)
     return _OUTCOME_EXIT[summary.outcome]
 
 

@@ -152,12 +152,12 @@ class CallRecord(NamedTuple):
         k = [_KIND_CODE[kind] for kind in k]
         o = [_OUTCOME_CODE[outcome] for outcome in o]
         return cls._make(
-            np.array(values, dtype) for values, dtype in zip((r, c, t, k, o, s), _COLUMN_DTYPES)
+            np.array(values, dtype) for values, dtype in zip((r, c, t, k, o, s), COLUMN_DTYPES)
         )
 
 
 # Each CallLog column's dtype, by field.
-_COLUMN_DTYPES = CallRecord(np.int64, np.int64, np.int64, np.int8, np.int8, np.int64)
+COLUMN_DTYPES = CallRecord(np.int64, np.int64, np.int64, np.int8, np.int8, np.int64)
 
 
 class CallLog(Sequence):
@@ -171,7 +171,7 @@ class CallLog(Sequence):
 
     def __init__(self, columns: CallRecord | None = None):
         if columns is None:
-            columns = CallRecord._make(np.empty(0, dtype) for dtype in _COLUMN_DTYPES)
+            columns = CallRecord._make(np.empty(0, dtype) for dtype in COLUMN_DTYPES)
         self._chunks = [columns]
 
     def append_columns(self, chunk: CallRecord) -> None:

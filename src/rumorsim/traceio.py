@@ -4,12 +4,14 @@ All writers produce byte-stable output for fixed inputs: fixed field
 order, LF line endings, and floats rendered at six significant digits.
 
 The call trace is written from a ``CallLog``'s columns and parsed back into
-one by numpy operations over the file's bytes, with no Python object per
-row or per cell.  The writer's bytes are those of ``csv.writer`` on the
-records.  The parser accepts what the writer writes, plus blank lines and
-CRLF line ends; a row's integers must be plain decimals of at most 18
-digits, so every value fits in int64 and none is ever clamped.  Any other
-row is reported, with its line number, by the first failing per-row check.
+one by numpy operations over the file's bytes, a block of rows at a time,
+with no Python object per row or per cell.  The writer's bytes are those of
+``csv.writer`` on the records; each block's bytes go straight to the file.
+The parser fills columns allocated once, with an entry per line.  It
+accepts what the writer writes, plus blank lines and CRLF line ends; a
+row's integers must be plain decimals of at most 18 digits, so every value
+fits in int64 and none is ever clamped.  Any other row is reported, with
+its line number, by the first failing per-row check.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import json
 import os
 import re
 from dataclasses import asdict, fields
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .core import (
+    COLUMN_DTYPES,
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
@@ -36,6 +39,7 @@ from .core import (
 )
 
 TRACE_COLUMNS = CallRecord._fields
+_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
 
 # The text of each kind and outcome code; None marks an integer column.
 _CELL_NAMES = CallRecord(
@@ -43,6 +47,13 @@ _CELL_NAMES = CallRecord(
 )
 _MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
 _COMMA, _NEWLINE, _RETURN, _ZERO = b",\n\r0"
+# Rows written or parsed in one numpy pass: the write and the parse hold
+# the log (and the parse the file's bytes) and one block's temporaries.
+_BLOCK_ROWS = 16384
+# The longest line a row can take, its CRLF line end included.
+_LINE_BYTES = sum(
+    _MAX_DIGITS if names is None else max(map(len, names)) for names in _CELL_NAMES
+) + len(_CELL_NAMES) + 1
 
 
 def _member_parser(enum, name: str):
@@ -124,12 +135,18 @@ def resolve_output_path(path: str) -> str:
 
 
 def write_text(path: str, text: str) -> str:
+    return _write_bytes(path, [text.encode()])
+
+
+def _write_bytes(path: str, pieces: Iterable[bytes]) -> str:
+    """Write the pieces, in order, to the resolved path; its directory is made."""
     resolved = resolve_output_path(path)
     parent = os.path.dirname(resolved)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(resolved, "w", newline="") as handle:
-        handle.write(text)
+    with open(resolved, "wb") as handle:
+        for piece in pieces:
+            handle.write(piece)
     return resolved
 
 
@@ -171,9 +188,8 @@ def _name_cells(codes: np.ndarray, names: tuple[str, ...]):
     return table.shape[1], write
 
 
-def format_trace_csv(records: Sequence[CallRecord]) -> str:
-    """The trace CSV of a ``CallLog`` or of any sequence of records."""
-    columns = CallRecord.columns_of(records)
+def _format_rows(columns: CallRecord) -> bytes:
+    """The CSV lines of one block of rows."""
     cells = [
         _integer_cells(column) if names is None else _name_cells(column, names)
         for column, names in zip(columns, _CELL_NAMES)
@@ -189,11 +205,24 @@ def format_trace_csv(records: Sequence[CallRecord]) -> str:
         offset += width + 1
     table[:, -1] = _NEWLINE
     text = table.ravel()
-    return ",".join(TRACE_COLUMNS) + "\n" + text[text != 0].tobytes().decode("ascii")
+    return text[text != 0].tobytes()
+
+
+def _trace_pieces(records: Sequence[CallRecord]) -> Iterator[bytes]:
+    """The trace CSV's bytes: the header, then each block's lines."""
+    columns = CallRecord.columns_of(records)
+    yield _HEADER
+    for begin in range(0, len(columns.round), _BLOCK_ROWS):
+        yield _format_rows(CallRecord._make(column[begin : begin + _BLOCK_ROWS] for column in columns))
+
+
+def format_trace_csv(records: Sequence[CallRecord]) -> str:
+    """The trace CSV of a ``CallLog`` or of any sequence of records."""
+    return b"".join(_trace_pieces(records)).decode("ascii")
 
 
 def write_trace_csv(records: Sequence[CallRecord], path: str) -> str:
-    return write_text(path, format_trace_csv(records))
+    return _write_bytes(path, _trace_pieces(records))
 
 
 def parse_trace_csv(text: str) -> CallLog:
@@ -215,27 +244,65 @@ def _parse_trace(data: bytes) -> CallLog:
         raise TraceFormatError("empty trace file")
     header_end = data.find(b"\n")
     header_end = len(data) if header_end < 0 else header_end
-    header = next(csv.reader([data[:header_end].decode("utf-8", "replace")]), [])
+    try:
+        header = next(csv.reader([data[:header_end].decode("utf-8", "replace")]), [])
+    except csv.Error as exc:
+        raise TraceFormatError(f"bad header: {exc}") from None
     if tuple(header) != TRACE_COLUMNS:
         raise TraceFormatError(
             f"bad header {header!r}, expected {list(TRACE_COLUMNS)}"
         )
-    body = np.frombuffer(data, dtype=np.uint8)[header_end + 1:]
-    columns = _parse_rows(body)
-    if columns is None:
-        _raise_first_bad_row(body.tobytes().decode("utf-8", "replace"))
-    return CallLog(columns)
+    # Each line holds at most one row: the columns are allocated once, for
+    # every line, and filled block by block.
+    lines = data.count(b"\n", header_end + 1) + 1
+    columns = CallRecord._make(np.empty(lines, dtype) for dtype in COLUMN_DTYPES)
+    rows, lineno = 0, 2
+    body = np.frombuffer(data, dtype=np.uint8)
+    for begin, end, newlines in _line_blocks(body, header_end + 1):
+        block = _parse_rows(body[begin:end], newlines)
+        if block is None:
+            _raise_first_bad_row(data[begin:].decode("utf-8", "replace"), lineno)
+        for column, values in zip(columns, block):
+            column[rows : rows + len(values)] = values
+        rows += len(block.round)
+        lineno += len(newlines)
+    return CallLog(CallRecord._make(column[:rows] for column in columns))
 
 
-def _parse_rows(body: np.ndarray) -> CallRecord | None:
+def _line_blocks(body: np.ndarray, begin: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(begin, end, newlines) of each block of ``_BLOCK_ROWS`` lines of
+    ``body`` from ``begin``; ``newlines`` are the block's newline offsets.
+
+    A block ends after its last newline or at the end of ``body``.  Where a
+    block of the longest rows would end first, a line in it is longer than
+    any row, so the block ends there and fails ``_parse_rows``.
+    """
+    most = size = _BLOCK_ROWS * _LINE_BYTES
+    while begin < len(body):
+        # Look first as far as the last block's lines reached, and a half
+        # more; then as far as a block of the longest rows reaches.
+        for size in (size, most):
+            window = body[begin : begin + size]
+            newlines = np.flatnonzero(window == _NEWLINE)[:_BLOCK_ROWS]
+            if len(newlines) == _BLOCK_ROWS or begin + size >= len(body):
+                break
+        end = begin + (int(newlines[-1]) + 1 if len(newlines) == _BLOCK_ROWS else len(window))
+        yield begin, end, newlines
+        size = min(most, (end - begin) * 3 // 2 + _LINE_BYTES)
+        begin = end
+
+
+def _parse_rows(body: np.ndarray, newlines: np.ndarray) -> CallRecord | None:
     """Every row's columns at once, or None if any line is not blank and
-    not a row that ``_ROW`` matches with a round of at least 1."""
-    ends = np.flatnonzero(body == _NEWLINE)
+    not a row that ``_ROW`` matches with a round of at least 1.
+
+    ``newlines`` are the offsets of the newline bytes in ``body``."""
+    ends = newlines
     if len(body) and body[-1] != _NEWLINE:
         ends = np.append(ends, len(body))
     starts = np.concatenate(([0], ends[:-1] + 1))
     # A line may end in a carriage return; blank lines are skipped.
-    ends -= (ends > starts) & (body[np.maximum(ends - 1, 0)] == _RETURN)
+    ends = ends - ((ends > starts) & (body[np.maximum(ends - 1, 0)] == _RETURN))
     kept = ends > starts
     starts, ends = starts[kept], ends[kept]
     # Commas lie only in kept lines, so five per line are row i's five.
@@ -287,9 +354,10 @@ def _parse_names(body, starts, ends, names) -> np.ndarray | None:
     return None if (codes < 0).any() else codes
 
 
-def _raise_first_bad_row(body: str) -> NoReturn:
-    """Raise ``TraceFormatError`` for the first line ``_parse_rows`` rejects."""
-    for lineno, line in enumerate(body.split("\n"), start=2):
+def _raise_first_bad_row(body: str, first_line: int) -> NoReturn:
+    """Raise ``TraceFormatError`` for the first line of ``body``, numbered
+    from ``first_line``, that ``_parse_rows`` rejects."""
+    for lineno, line in enumerate(body.split("\n"), start=first_line):
         line = line[:-1] if line.endswith("\r") else line
         if not line:
             continue

@@ -14,10 +14,13 @@ the simulation kernel.
 The replay is columnar: it reads a ``CallLog``'s ``columns`` (any other
 sequence of ``CallRecord``s is converted to columns first) and builds no
 Python object per call.  What the trace says about each node up to any
-call is held in arrays indexed by compacted node ids, so memory follows
-the trace's length, not ``n``: where and in which round a call first found
-the node crashed, and which call informed it.  Each check is then a mask
-over the calls.  The protocol rules run over the calls sorted stably by
+call is held in per-node arrays: where and in which round a call first
+found the node crashed, and which call informed it.  They are indexed by
+the node ids themselves when the largest in-range id is below the number
+of call endpoints, and by compacted ids otherwise, so memory follows the
+trace's length, not ``n``.  Ids and trace positions are int32 where they
+fit.  Each check is then a mask over the calls.  The protocol rules run,
+once the replay's arrays are released, over the calls sorted stably by
 caller, as shifts and cumulative sums within each caller's segment.  Only
 the first ``max_violations`` messages, in the documented order, are
 formatted.
@@ -121,21 +124,45 @@ def verify_trace(
     if start is None and columns.round[0] == 1:
         start = int(columns.caller[0])
 
-    found, calls = _replay(columns, n, start, crash_schedule, no_crashes)
+    found, by_caller = _replay(columns, n, start, crash_schedule, no_crashes)
     violations = found.first(max_violations)
     check_callers = _caller_rules(spec)
     if check_callers is not None and len(violations) < max_violations:
         found = _Found()
-        check_callers(found, calls, n, start)
+        check_callers(found, _CallerSegments(columns, *by_caller), n, start)
         violations += found.first(max_violations - len(violations))
     return VerificationReport(m, n, start, tuple(violations))
+
+
+def _index_dtype(size: int):
+    """The narrowest of int32 and int64 that holds every integer in
+    ``[-1, size]``."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _node_ids(callers: np.ndarray, targets: np.ndarray):
+    """(nodes, caller ids, target ids) of the calls, ``nodes[i]`` being the
+    node with id i.
+
+    A node's id is the node itself where the largest node is below the
+    number of call endpoints; otherwise the nodes the calls name are
+    numbered in order.  Either way the per-node arrays follow the trace's
+    length, not ``n``.
+    """
+    size = 1 + int(max(callers.max(initial=-1), targets.max(initial=-1)))
+    if size <= 2 * len(callers):
+        dtype = _index_dtype(size)
+        return np.arange(size), callers.astype(dtype), targets.astype(dtype)
+    nodes, ids = np.unique(np.concatenate((callers, targets)), return_inverse=True)
+    ids = ids.astype(_index_dtype(len(nodes)))
+    return nodes, ids[: len(callers)], ids[len(callers) :]
 
 
 def _replay(columns, n, start, crash_schedule, no_crashes):
     """Protocol-independent checks over the whole trace.
 
     Returns the violations found, keyed by (call position, check), and the
-    in-range calls grouped by caller.
+    arguments of the in-range calls' ``_CallerSegments``.
     """
     r, c, t, k, o, s = columns
     m = len(r)
@@ -152,14 +179,13 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
         found.add("first recorded round is {round}, expected 1", record, [0], -1, 0)
 
     # Order: each call against the one before it.
-    later = np.arange(1, m)
     same_round = r[1:] == r[:-1]
     back = (r[1:] < r[:-1]) | (same_round & (s[1:] <= s[:-1]))
-    flag_records("{where}: records out of (round, serial) order", later[back], 0)
+    flag_records("{where}: records out of (round, serial) order", 1 + np.flatnonzero(back), 0)
     flag_records("{where}: serial positions not contiguous",
-                 later[~back & same_round & (s[1:] != s[:-1] + 1)], 0)
+                 1 + np.flatnonzero(~back & same_round & (s[1:] != s[:-1] + 1)), 0)
     flag_records("{where}: round does not begin at serial 0",
-                 later[~back & ~same_round & (s[1:] != 0)], 0)
+                 1 + np.flatnonzero(~back & ~same_round & (s[1:] != 0)), 0)
     if s[0] != 0:
         flag_records("{where}: first record of a round must be serial 0", [0], 0)
 
@@ -169,12 +195,14 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
                  np.flatnonzero(~inside), 1)
 
     # The in-range calls, by their index i; the rest of the replay skips
-    # out-of-range calls, as if they were not in the trace.
-    at = np.flatnonzero(inside)
+    # out-of-range calls, as if they were not in the trace.  A position in
+    # the trace, or m for none, fits in ``position``.
+    position = _index_dtype(m)
+    at = np.flatnonzero(inside).astype(position)
     q = len(at)
-    nodes, node_ids = np.unique(np.concatenate((c[at], t[at])), return_inverse=True)
-    caller, target = node_ids[:q], node_ids[q:]
-    rounds, outcome = r[at], o[at]
+    pick = slice(None) if q == m else at  # every call in range: read the columns in place
+    nodes, caller, target = _node_ids(c[pick], t[pick])
+    rounds, outcome = r[pick], o[pick]
     start_id = -1
     if start is not None and 0 <= start <= highest:
         found_at = int(np.searchsorted(nodes, start))
@@ -182,7 +210,7 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
             start_id = found_at
 
     # Where and in which round a call first found each node crashed.
-    crashed_at = np.full(len(nodes), m)
+    crashed_at = np.full(len(nodes), m, dtype=position)
     crashed_round = np.zeros(len(nodes), dtype=np.int64)
     crash_calls = np.flatnonzero(outcome == CRASHED_TARGET)
     hit, first = np.unique(target[crash_calls], return_index=True)
@@ -196,7 +224,7 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
     informing &= (at < crashed_at[target]) | (rounds < crashed_round[target])
     informing = np.flatnonzero(informing)
     hit, first = np.unique(target[informing], return_index=True)
-    informed_at = np.full(len(nodes), m)
+    informed_at = np.full(len(nodes), m, dtype=position)
     informed_round = np.full(len(nodes), _INT64_MAX)
     informed_at[hit] = at[informing[first]]
     informed_round[hit] = rounds[informing[first]]
@@ -251,10 +279,9 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
 
     # Doubling: each run of equal rounds in trace order informs at most as
     # many nodes as were informed before it.
-    informed_here = np.zeros(m, dtype=np.int64)
-    informed_here[informed_at[(informed_at >= 0) & (informed_at < m)]] = 1
     runs = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
-    per_run = np.add.reduceat(informed_here, runs)
+    informed_calls = np.sort(informed_at[(informed_at >= 0) & (informed_at < m)])
+    per_run = np.diff(np.searchsorted(informed_calls, np.append(runs, m)))
     before = int(start is not None) + np.cumsum(per_run) - per_run
     over = np.flatnonzero(per_run > before)
     found.add(
@@ -263,10 +290,12 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
         over, np.append(runs[1:], m)[over] - 1, 8,
     )
 
-    target_informed_round = np.where(informed_at[target] < m, informed_round[target], _INT64_MAX)
-    calls = _CallerSegments(columns, at[by_caller], caller[by_caller],
-                            target_informed_round[by_caller] if no_crashes else None)
-    return found, calls
+    target_informed_round = None
+    if no_crashes:
+        sorted_targets = target[by_caller]
+        target_informed_round = np.where(informed_at[sorted_targets] < m,
+                                         informed_round[sorted_targets], _INT64_MAX)
+    return found, (at[by_caller], caller[by_caller], target_informed_round)
 
 
 def _crash_rounds(crash_schedule, nodes, highest) -> np.ndarray:
@@ -284,30 +313,36 @@ def _crash_rounds(crash_schedule, nodes, highest) -> np.ndarray:
 class _CallerSegments:
     """The in-range calls sorted stably by caller: each caller's calls are
     one segment, in trace order.  ``rank`` orders the callers by their
-    first call; ``index`` is a call's place in its caller's segment."""
+    first call; ``index`` is a call's place in its caller's segment.
+
+    A trace column of the sorted calls, read as the attribute of its field
+    name (``calls.target``), is gathered when a rule first reads it.
+    """
 
     def __init__(self, columns, positions, caller_ids, target_informed_round):
-        self.round, self.caller, self.target, self.kind, self.outcome, self.serial = (
-            column[positions] for column in columns
-        )
+        self._columns, self.positions = columns, positions
         self.target_informed_round = target_informed_round
+        dtype = _index_dtype(len(positions))
         opens = np.ones(len(positions), dtype=bool)
         opens[1:] = caller_ids[1:] != caller_ids[:-1]
-        self.segment = np.cumsum(opens) - 1
-        self.starts = np.flatnonzero(opens)
-        self.index = np.arange(len(positions)) - self.starts[self.segment]
-        rank = np.empty(len(self.starts), dtype=np.int64)
+        self.segment = np.cumsum(opens, dtype=dtype) - 1
+        self.starts = np.flatnonzero(opens).astype(dtype)
+        self.index = np.arange(len(positions), dtype=dtype) - self.starts[self.segment]
+        rank = np.empty(len(self.starts), dtype=dtype)
         rank[np.argsort(positions[self.starts])] = np.arange(len(self.starts))
         self.rank = rank[self.segment]
         self.first = self.index == 0
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in CallRecord._fields:
+            raise AttributeError(name)
+        column = getattr(self._columns, name)[self.positions]
+        setattr(self, name, column)
+        return column
+
     def fields(self, i) -> dict:
-        return {
-            "where": f"round {self.round[i]} serial {self.serial[i]}",
-            "caller": self.caller[i],
-            "target": self.target[i],
-            "kind": KINDS[self.kind[i]].value,
-        }
+        r, c, t, k, _, s = (column[self.positions[i]] for column in self._columns)
+        return {"where": f"round {r} serial {s}", "caller": c, "target": t, "kind": KINDS[k].value}
 
     def previous(self, values: np.ndarray) -> np.ndarray:
         """Each call's value at its caller's previous call; meaningless for

@@ -188,6 +188,35 @@ def test_simulate_output_bytes_frozen(tmp_path, capsys):
     assert outcomes == {outcome.value for outcome in CallOutcome}
 
 
+# SHA-256 of what `simulate --n 16384 --protocol quasirandom-independent
+# --seed 0` prints.  At this size the independent lists are drawn over many
+# blocks of callers; frozen like the digests above.
+FROZEN_INDEPENDENT_LISTS_DIGEST = "1be7430c5d20f88d36920b6a2b2c14a9ac0a9581e6d872640b89ad6b0e92446b"
+
+
+def test_simulate_independent_lists_at_scale_frozen(capsys):
+    code = run_cli("simulate", "--n", "16384", "--protocol", "quasirandom-independent",
+                   "--seed", "0")
+    assert code == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == FROZEN_INDEPENDENT_LISTS_DIGEST
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])
+def test_simulate_unwritable_output_is_usage_error(tmp_path, capsys, flag):
+    code = run_cli("simulate", "--n", "8", "--seed", "1", flag, str(tmp_path))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report.json"
+    assert run_cli("bounds", "--n", "64", "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 # ------------------------------------------------------------------- bounds
 
 

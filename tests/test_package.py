@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, and none is listed twice."""
 
 import ast
+import importlib.util
 import pathlib
 
 import rumorsim
@@ -32,3 +33,16 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_benchmark_patch_points_resolve():
+    # The benchmark's traced run replaces these module globals by name; a
+    # rename here would break it, though its own tests are not run here.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCH_POINTS
+    missing = [f"{module.__name__}.{name}" for module, names in tracing.PATCH_POINTS.items()
+               for name in names if not callable(getattr(module, name, None))]
+    assert missing == []

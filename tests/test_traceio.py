@@ -2,11 +2,16 @@
 
 import csv
 import io
+import itertools
 import json
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
+from rumorsim import traceio
 from rumorsim.core import CallKind, CallOutcome, CallRecord, init_simulation, run
 from rumorsim.protocols import Hybrid
 from rumorsim.traceio import (
@@ -201,6 +206,117 @@ def test_trace_csv_error_names_the_line_after_blank_lines():
     text = HEADER + "1,0,1,initial_successor,informed,0\n\n\n2,0,x,sequential,informed,0\n"
     with pytest.raises(TraceFormatError, match="^line 5: invalid literal"):
         parse_trace_csv(text)
+
+
+def test_trace_csv_header_that_csv_cannot_read_is_a_format_error():
+    with pytest.raises(TraceFormatError, match="^bad header: new-line character"):
+        parse_trace_csv("round,cal\rler\n1,0,1,random,informed,0\n")
+
+
+# ------------------------------------------------------- trace CSV row blocks
+
+
+BLOCK_ROWS = [1, 2, 7]
+
+
+@contextmanager
+def block_rows(rows):
+    """Write and parse the trace CSV in blocks of ``rows`` rows."""
+    with mock.patch.object(traceio, "_BLOCK_ROWS", rows):
+        yield
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(run=runs())
+def test_trace_csv_blocks_write_the_csv_module_bytes(rows, run):
+    *_, log = run
+    with block_rows(rows):
+        text = format_trace_csv(log)
+        assert text == csv_module_text(log)
+        assert parse_trace_csv(text) == log
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_trace_csv_blocks_write_files_of_the_same_bytes(rows, tmp_path):
+    _, records = sample_run()
+    with block_rows(rows):
+        write_trace_csv(records, str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_text() == csv_module_text(records)
+
+
+BAD_ROWS = [
+    ("1,0,x,random,informed,0", "invalid literal"),
+    ("1,0,1,random", "expected 6 fields"),
+    ("0,0,1,random,informed,0", "negative or zero-round field"),
+    ("1,0,1,random,informed," + "1" * 200, "integers must be plain decimals"),
+    ("1,0,1,random,informed,0" + " " * 300, "integers must be plain decimals"),
+]
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@pytest.mark.parametrize("bad, message", BAD_ROWS)
+def test_trace_csv_bad_row_in_a_later_block_names_its_line(rows, bad, message):
+    _, records = sample_run()
+    lines = csv_module_text(records[:20]).splitlines()
+    for at in (2, 3, 9, 16, 21):  # line numbers; the header is line 1
+        text = "\n".join(lines[: at - 1] + [bad] + lines[at - 1 :]) + "\n"
+        with block_rows(rows), pytest.raises(TraceFormatError, match=f"^line {at}: {message}"):
+            parse_trace_csv(text)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_trace_csv_blank_lines_crlf_and_no_final_newline_on_block_edges(rows):
+    _, records = sample_run()
+    records = records[:15]
+    body = csv_module_text(records)[len(HEADER) :].splitlines()
+    with block_rows(rows):
+        for at, end in itertools.product(range(len(body) + 1), ("\n", "\r\n")):
+            # One or two blank lines; among LF lines, also a blank CRLF line.
+            for blanks in ([""], ["", ""], ["\r"])[: 3 if end == "\n" else 2]:
+                text = HEADER + end.join(body[:at] + blanks + body[at:])
+                assert parse_trace_csv(text) == records
+                assert parse_trace_csv(text + end) == records
+
+
+# A trace of about 2^15 rows, and blocks much shorter than the trace.
+MEMORY_N, MEMORY_BLOCK_ROWS = 2**13, 1024
+
+
+@pytest.fixture(scope="module")
+def large_log():
+    state = init_simulation(Hybrid(4), MEMORY_N, 0, seed=1, keep_log=True)
+    run(state)
+    state.log.columns  # joins the per-round chunks outside the measurement
+    return state.log
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_csv_write_holds_a_few_blocks(large_log, tmp_path):
+    assert len(large_log) > 2**15
+    path = str(tmp_path / "t.csv")
+    with block_rows(MEMORY_BLOCK_ROWS):
+        peak = traced_peak(lambda: write_trace_csv(large_log, path))
+    assert peak < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES
+
+
+def test_trace_csv_parse_holds_the_file_the_columns_and_a_few_blocks(large_log, tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace_csv(large_log, str(path))
+    lines = path.read_bytes().count(b"\n")
+    row_bytes = sum(column.itemsize for column in large_log.columns)
+    with block_rows(MEMORY_BLOCK_ROWS):
+        peak = traced_peak(lambda: read_trace_csv(str(path)))
+    beyond = peak - path.stat().st_size - lines * row_bytes
+    assert beyond < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES
 
 
 # -------------------------------------------------------------- summary JSON

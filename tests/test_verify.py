@@ -296,6 +296,30 @@ def test_huge_node_ids_cost_memory_for_the_trace_only():
     )
 
 
+# The replay holds ids and trace positions in int32, releases its arrays
+# before the per-caller rules gather theirs, and reads node ids directly
+# when they are dense: about 80 bytes per call at peak.
+VERIFY_BYTES_PER_CALL = 100
+
+
+@pytest.mark.parametrize("spec", [Hybrid(4), Quasirandom("identical"),
+                                  Quasirandom("independent"), FullyRandomPush()])
+def test_verify_holds_a_fixed_number_of_bytes_per_call(spec):
+    state = init_simulation(spec, 2**13, 0, seed=1, keep_log=True)
+    run(state)
+    log = state.log
+    log.columns  # joins the per-round chunks outside the measurement
+    assert len(log) > 2**15
+    tracemalloc.start()
+    try:
+        report = verify_trace(log, spec=spec, no_crashes=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < VERIFY_BYTES_PER_CALL * len(log)
+
+
 # Each forged trace breaks one rule, and its case asserts that rule's own
 # message, so removing any single rule from the verifier fails one case.
 FORGED_TRACES = {
