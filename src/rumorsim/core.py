@@ -15,19 +15,29 @@ sends it back to a uniformly random restart, or stops it for good once
 the budget is spent.  The starting node walks its own successors first
 and its first such encounter is free (it only ends the initial walk).
 
-All randomness is drawn from one seeded generator in a fixed order
-(the round's target draws, in ascending caller id order, then the
-round's serialization permutation), so a given configuration
-always reproduces the same call sequence bit for bit.
+All of a world's randomness is drawn from its one seeded generator in a
+fixed order (the round's target draws, in ascending caller id order, then
+the round's serialization permutation), so a given configuration always
+reproduces the same call sequence bit for bit.
+
+Worlds live in stacks: a stack holds T independent worlds of one
+``(spec, n, start)`` in per-node arrays of length T * n, world ``w``'s
+node ``i`` at entry ``w * n + i``.  Each world keeps its own generator,
+crash schedule, counters and call log.  A single run is a one-world stack;
+``run_trials`` runs its trials in larger ones.
 
 Each protocol's rules live in one private rules object: the start node's
 round-0 setup, the round's target draws, and the callers' state update
-once the round's outcomes are known.  ``execute_round`` is the one round
-kernel.  It works in caller (ascending id) order: the serialization only
-breaks ties among calls to the same uninformed target, which a scatter-min
-of serial positions resolves, and orders a kept log.  The test suite keeps
-a per-call statement of the same semantics (``tests/reference_engine.py``)
-as the oracle the kernel is checked against.
+once the round's outcomes are known.  ``_execute_rounds`` is the one round
+kernel, run by ``execute_round`` for one world and by ``run_stack`` for a
+stack.  Each world draws from its own generator; everything else is done
+once over the stack's concatenated calls, in caller (ascending entry)
+order: the serialization only breaks ties among calls to the same
+uninformed target, which a scatter-min of serial positions resolves, and
+orders a kept log.  Entries of different worlds never collide, so the
+worlds cannot interact.  The test suite keeps a per-call statement of the
+same semantics (``tests/reference_engine.py``) as the oracle the kernel is
+checked against.
 
 Every draw is vectorised.  Independent lists keep each node's drawn prefix
 in an int32 node-by-call-index table and extend it by a block draw: one
@@ -38,12 +48,14 @@ the generator exactly as one scalar draw per value, with a redraw on each
 value the caller already holds, would.
 
 A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
-which ``execute_round`` appends each round's arrays at once.  A
+which the round kernel appends each round's arrays at once.  A
 ``CallRecord`` is built only when the log is indexed or iterated.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -181,7 +193,14 @@ class CallLog(Sequence):
     @property
     def columns(self) -> CallRecord:
         if len(self._chunks) > 1:
-            self._chunks = [CallRecord._make(map(np.concatenate, zip(*self._chunks)))]
+            # Join field by field, dropping each field's chunks once joined,
+            # so the log is held once plus one column, not twice.
+            fields = [list(field) for field in zip(*self._chunks)]
+            self._chunks = []
+            joined = []
+            while fields:
+                joined.append(np.concatenate(fields.pop(0)))
+            self._chunks = [CallRecord._make(joined)]
         return self._chunks[0]
 
     def __len__(self) -> int:
@@ -256,40 +275,98 @@ def default_round_cap(n: int) -> int:
     return math.ceil(10 * (math.log2(n) + math.log(n) + 10))
 
 
+# -- one round's calls -------------------------------------------------------
+
+
+class _Calls:
+    """One round's calls of the calling worlds of a stack, in caller order.
+
+    ``callers`` are stack entries, ascending; ``worlds[j]`` placed calls
+    ``bounds[j]`` up to ``bounds[j + 1]``, and ``starts[j]`` is its start's
+    entry.
+    """
+
+    __slots__ = ("worlds", "bounds", "callers", "starts", "_offsets")
+
+    def __init__(self, stack: _Stack, worlds, bounds: list[int], callers: np.ndarray):
+        self.worlds, self.bounds, self.callers = worlds, bounds, callers
+        bases = np.array([world._base for world in worlds], dtype=np.int64)
+        self.starts = bases + stack.start
+        # Each call's world's first entry; in a one-world stack, 0.
+        self._offsets = None if stack.count == 1 else np.repeat(bases, np.diff(bounds))
+
+    def caller_ids(self, picked: np.ndarray | None = None) -> np.ndarray:
+        """Node ids of the picked callers (every caller when None)."""
+        callers = self.callers if picked is None else self.callers[picked]
+        if self._offsets is None:
+            return callers
+        return callers - (self._offsets if picked is None else self._offsets[picked])
+
+    def entries(self, ids: np.ndarray) -> np.ndarray:
+        """Stack entries of node ids given one per call, each in its
+        caller's world."""
+        return ids if self._offsets is None else ids + self._offsets
+
+
+def _draw_integers(calls: _Calls, high: int, picked: np.ndarray | None = None) -> np.ndarray:
+    """``integers(0, high)`` for each picked call (every call when None),
+    given as ascending call indices: one draw of each world's generator for
+    its picked calls, in caller order; a world with none draws nothing."""
+    bounds = calls.bounds if picked is None else picked.searchsorted(calls.bounds).tolist()
+    parts = [
+        world.rng.integers(0, high, size=b - a)
+        for world, a, b in zip(calls.worlds, bounds, bounds[1:])
+        if b > a
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _random_targets(stack: _Stack, calls: _Calls, picked: np.ndarray | None = None) -> np.ndarray:
+    """Uniformly random target ids for the picked calls; with self-calls
+    off, a draw over the other n - 1 nodes."""
+    if stack.allow_self_calls:
+        return _draw_integers(calls, stack.n, picked)
+    targets = _draw_integers(calls, stack.n - 1, picked)
+    targets[targets >= calls.caller_ids(picked)] += 1
+    return targets
+
+
 # -- protocol rules ----------------------------------------------------------
 
 
 class _Rules:
-    """One protocol's rules; ``SimulationState`` holds exactly one.
+    """One protocol's rules; each stack holds exactly one.
 
     The round kernel updates status, informed_at and informer itself and
     leaves everything protocol-specific to these operations.
     """
 
     def setup(self, state: SimulationState) -> None:
-        """Round-0 state of the start node."""
+        """Round-0 state of one world's start node."""
 
-    def draw(self, state: SimulationState, callers: np.ndarray):
-        """(targets, kinds) for the round's callers, given in ascending id
-        order; every random draw of the round before the serialization
-        permutation happens here, in that order."""
+    def draw(self, stack: _Stack, calls: _Calls):
+        """(target ids, kinds) of the round's calls; every random draw of
+        the round before the serialization permutation happens here, each
+        world's in its callers' order."""
         raise NotImplementedError
 
-    def settle(self, state, callers, targets, informed, already, crashed) -> None:
+    def settle(self, stack, calls, targets, entries, informed, already, crashed) -> None:
         """Update the callers' protocol state after the round's outcomes.
 
-        ``callers`` and ``targets`` are in caller order, as ``draw`` got
-        and gave them; the three boolean masks mark the informing,
-        encounter and crashed-target calls.  Each caller calls once, so no
-        update depends on the serial order.
+        ``targets`` are the calls' target ids and ``entries`` their stack
+        entries, in caller order as ``draw`` gave them; the three boolean
+        masks mark the informing, encounter and crashed-target calls.  Each
+        caller calls once, so no update depends on the serial order.
         """
         raise NotImplementedError
 
-    def node_fields(self, state: SimulationState, i: int):
-        """(mode, list_position, call_sequence) of node ``i``."""
-        mode = state._mode[i]
+    def node_fields(self, stack: _Stack, entry: int):
+        """(mode, list_position, call_sequence) of the node at ``entry``."""
+        mode = stack._mode[entry]
         if mode == _M_SEQ:
-            return Sequential(int(state._next_target[i])), None, None
+            return Sequential(int(stack._next_target[entry])), None, None
         if mode == _M_PENDING:
             return PendingRandom(), None, None
         return None, None, None
@@ -306,55 +383,57 @@ class _HybridRules(_Rules):
         state._mode[state.start] = _M_SEQ
         state._next_target[state.start] = successor(state.start, state.n)
 
-    def draw(self, state, callers):
-        pending = state._mode[callers] == _M_PENDING
-        targets = state._next_target[callers]
-        targets[pending] = state._draw_random_targets(callers[pending])
+    def draw(self, stack, calls):
+        callers = calls.callers
+        pending = np.flatnonzero(stack._mode[callers] == _M_PENDING)
+        targets = stack._next_target[callers]
+        targets[pending] = _random_targets(stack, calls, pending)
         kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
         kinds[pending] = _K_RANDOM
-        start = state.start
-        if (
-            state._status[start] == _INFORMED
-            and state._mode[start] == _M_SEQ
-            and state._encounters[start] == 0
-        ):
-            # An informed start is a caller; callers arrive sorted.
-            kinds[np.searchsorted(callers, start)] = _K_INITIAL
+        starts = calls.starts
+        walking = starts[
+            (stack._status[starts] == _INFORMED)
+            & (stack._mode[starts] == _M_SEQ)
+            & (stack._encounters[starts] == 0)
+        ]
+        # An informed start is a caller; callers arrive sorted.
+        kinds[np.searchsorted(callers, walking)] = _K_INITIAL
         return targets, kinds
 
-    def settle(self, state, callers, targets, informed, already, crashed):
-        n = state.n
+    def settle(self, stack, calls, targets, entries, informed, already, crashed):
+        n = stack.n
+        callers = calls.callers
         # Freshly informed nodes open with a random call next round; only
         # the starting node begins on its own successor run.
-        new_targets = targets[informed]
-        state._mode[new_targets] = _M_PENDING
+        stack._mode[entries[informed]] = _M_PENDING
 
         # Each caller calls exactly once per round, so the outcome groups
         # partition the callers and the updates below are independent.
         ic = callers[informed]
-        state._mode[ic] = _M_SEQ
-        state._next_target[ic] = _successors(new_targets, n)
+        stack._mode[ic] = _M_SEQ
+        stack._next_target[ic] = _successors(targets[informed], n)
 
         ac = callers[already]
-        bumped = state._encounters[ac] + 1
-        state._encounters[ac] = bumped
+        bumped = stack._encounters[ac] + 1
+        stack._encounters[ac] = bumped
         stop = bumped >= self.stop_budget
-        # The starting node's first encounter only ends its initial walk.
-        at = np.searchsorted(ac, state.start)
-        if at < len(ac) and ac[at] == state.start:
-            stop[at] = bumped[at] > self.stop_budget
+        # A starting node's first encounter only ends its initial walk.
+        at = np.searchsorted(ac, calls.starts)
+        found = at < len(ac)
+        found[found] = ac[at[found]] == calls.starts[found]
+        at = at[found]
+        stop[at] = bumped[at] > self.stop_budget
         stopped = ac[stop]
-        state._status[stopped] = _STOPPED
-        state._mode[ac] = _M_PENDING
-        state._mode[stopped] = _M_NONE
-        state._next_target[ac] = -1
+        stack._status[stopped] = _STOPPED
+        stack._mode[ac] = _M_PENDING
+        stack._mode[stopped] = _M_NONE
+        stack._next_target[ac] = -1
 
         # A crashed target costs no budget: walkers step past it, random
         # callers stay pending and redraw next round.
         cc = callers[crashed]
-        ct = targets[crashed]
-        walker = state._mode[cc] == _M_SEQ
-        state._next_target[cc[walker]] = _successors(ct[walker], n)
+        walker = stack._mode[cc] == _M_SEQ
+        stack._next_target[cc[walker]] = _successors(targets[crashed][walker], n)
 
 
 class _SharedListRules(_Rules):
@@ -365,20 +444,19 @@ class _SharedListRules(_Rules):
         # The start picks its position on the shared list up front.
         state._next_target[state.start] = int(state.rng.integers(0, state.n))
 
-    def draw(self, state, callers):
-        undrawn = state._next_target[callers] < 0
-        if undrawn.any():
-            # A node informed by a call picks its position at its first call.
-            fresh = callers[undrawn]
-            state._next_target[fresh] = state.rng.integers(0, state.n, size=len(fresh))
-        kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
-        return state._next_target[callers], kinds
+    def draw(self, stack, calls):
+        targets = stack._next_target[calls.callers]
+        # A node informed by a call picks its position at its first call.
+        undrawn = np.flatnonzero(targets < 0)
+        if len(undrawn):
+            targets[undrawn] = _draw_integers(calls, stack.n, undrawn)
+        return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, state, callers, targets, informed, already, crashed):
-        state._next_target[callers] = _successors(targets, state.n)
+    def settle(self, stack, calls, targets, entries, informed, already, crashed):
+        stack._next_target[calls.callers] = _successors(targets, stack.n)
 
-    def node_fields(self, state, i):
-        position = int(state._next_target[i])
+    def node_fields(self, stack, entry):
+        position = int(stack._next_target[entry])
         return None, (position if position >= 0 else None), None
 
 
@@ -386,44 +464,45 @@ class _IndependentListRules(_Rules):
     """Quasirandom with independent lists: each node walks its own uniformly
     random cyclic permutation, materialized lazily one entry at a time.
 
-    ``drawn[i, j]`` is node ``i``'s ``j``-th list entry, -1 where not drawn
-    yet; its columns grow as the longest prefix does, up to ``n``.  A node's
-    ``list_index`` counts its calls, and once its list holds all ``n``
-    entries it calls ``drawn[i, list_index % n]``.
+    ``drawn[e, j]`` is the ``j``-th list entry of the node at stack entry
+    ``e``, -1 where not drawn yet; its columns grow as the longest prefix
+    does, up to ``n``.  A node's ``list_index`` counts its calls, and once
+    its list holds all ``n`` entries it calls ``drawn[e, list_index % n]``.
     """
 
     # Callers tested per block draw; a rejected value costs a re-test of at
     # most this many callers, whatever the round's size.
     CHUNK = 2048
 
-    def __init__(self, n: int):
-        self.drawn = np.full((n, 0), -1, dtype=np.int32)
-        self.list_index = np.zeros(n, dtype=np.int64)
+    def __init__(self, n: int, entries: int):
+        self.n = n
+        self.drawn = np.full((entries, 0), -1, dtype=np.int32)
+        self.list_index = np.zeros(entries, dtype=np.int64)
 
-    def prefix(self, i: int) -> np.ndarray:
-        return self.drawn[i, : min(int(self.list_index[i]), len(self.drawn))]
+    def prefix(self, entry: int) -> np.ndarray:
+        return self.drawn[entry, : min(int(self.list_index[entry]), self.n)]
 
     def _widen(self, width: int) -> None:
-        n, old = self.drawn.shape
+        rows, old = self.drawn.shape
         if width > old:
             # A run takes about log2 n + ln n rounds, so one allocation of
             # 2 log2 n columns mostly suffices; each growth adds half.
-            grown = max(old + old // 2, 2 * n.bit_length())
-            wider = np.empty((n, min(n, max(width, grown))), dtype=np.int32)
+            grown = max(old + old // 2, 2 * self.n.bit_length())
+            wider = np.empty((rows, min(self.n, max(width, grown))), dtype=np.int32)
             wider[:, :old] = self.drawn
             wider[:, old:] = -1
             self.drawn = wider
 
     def _draw_fresh(self, rng, callers, idx) -> np.ndarray:
         """Each caller's next list entry: the first value of the stream that
-        its prefix does not hold yet, callers served in the order given.
+        its prefix does not hold yet, callers (stack entries of one world)
+        served in the order given.
 
         This consumes the generator exactly as one scalar draw per value,
         with a redraw on each rejection, would: ``rng.integers(0, n,
         size=m)`` yields the values, and leaves the state, of ``m`` scalar
         draws, and no more values are drawn than callers are left.
         """
-        n = len(self.drawn)
         m = len(callers)
         values = np.empty(m, dtype=np.int32)
         if m == 0:
@@ -434,7 +513,7 @@ class _IndependentListRules(_Rules):
         while pos < m:
             end = min(pos + self.CHUNK, m)
             if len(stream) < end - pos:
-                fresh = rng.integers(0, n, size=end - pos - len(stream)).astype(np.int32)
+                fresh = rng.integers(0, self.n, size=end - pos - len(stream)).astype(np.int32)
                 stream = np.concatenate((stream, fresh))
             block = stream[: end - pos]
             # Each caller's own entry (column ``idx``) is still -1, so the
@@ -451,21 +530,25 @@ class _IndependentListRules(_Rules):
         self.drawn[callers, idx] = values
         return values
 
-    def draw(self, state, callers):
+    def draw(self, stack, calls):
+        callers = calls.callers
         idx = self.list_index[callers]
         targets = np.empty(len(callers), dtype=np.int64)
-        fresh = idx < state.n
-        targets[fresh] = self._draw_fresh(state.rng, callers[fresh], idx[fresh])
-        lapped = ~fresh
-        targets[lapped] = self.drawn[callers[lapped], idx[lapped] % state.n]
+        fresh = np.flatnonzero(idx < self.n)
+        bounds = fresh.searchsorted(calls.bounds).tolist()
+        for world, a, b in zip(calls.worlds, bounds, bounds[1:]):
+            mine = fresh[a:b]
+            targets[mine] = self._draw_fresh(world.rng, callers[mine], idx[mine])
+        lapped = idx >= self.n
+        targets[lapped] = self.drawn[callers[lapped], idx[lapped] % self.n]
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, state, callers, targets, informed, already, crashed):
-        self.list_index[callers] += 1
+    def settle(self, stack, calls, targets, entries, informed, already, crashed):
+        self.list_index[calls.callers] += 1
 
-    def node_fields(self, state, i):
-        if state._status[i] == _INFORMED or self.list_index[i] > 0:
-            return None, int(self.list_index[i]), tuple(self.prefix(i).tolist())
+    def node_fields(self, stack, entry):
+        if stack._status[entry] == _INFORMED or self.list_index[entry] > 0:
+            return None, int(self.list_index[entry]), tuple(self.prefix(entry).tolist())
         return None, None, None
 
 
@@ -475,51 +558,75 @@ class _PushRules(_Rules):
     def setup(self, state):
         state._mode[state.start] = _M_PENDING
 
-    def draw(self, state, callers):
-        kinds = np.full(len(callers), _K_RANDOM, dtype=np.int8)
-        return state._draw_random_targets(callers), kinds
+    def draw(self, stack, calls):
+        kinds = np.full(len(calls.callers), _K_RANDOM, dtype=np.int8)
+        return _random_targets(stack, calls), kinds
 
-    def settle(self, state, callers, targets, informed, already, crashed):
-        state._mode[targets[informed]] = _M_PENDING
+    def settle(self, stack, calls, targets, entries, informed, already, crashed):
+        stack._mode[entries[informed]] = _M_PENDING
 
 
-def _rules_for(spec: ProtocolSpec, n: int) -> _Rules:
+def _rules_for(spec: ProtocolSpec, n: int, entries: int) -> _Rules:
     if isinstance(spec, Hybrid):
         return _HybridRules(spec.stop_budget)
     if isinstance(spec, Quasirandom):
         if spec.lists == LISTS_IDENTICAL:
             return _SharedListRules()
-        return _IndependentListRules(n)
+        return _IndependentListRules(n, entries)
     if isinstance(spec, FullyRandomPush):
         return _PushRules()
     raise TypeError(f"not a protocol spec: {spec!r}")
 
 
-class SimulationState:
-    """Mutable world state; see the operations below for the round logic."""
+# -- worlds and stacks -------------------------------------------------------
 
-    def __init__(
-        self,
-        spec: ProtocolSpec,
-        n: int,
-        start: int = 0,
-        seed=None,
-        crash_schedule: dict[int, int] | None = None,
-        *,
-        allow_self_calls: bool = True,
-        keep_log: bool = False,
-    ):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not 0 <= start < n:
-            raise ValueError(f"start {start} out of range for n={n}")
-        self._rules = _rules_for(spec, n)
-        if seed is None:
-            raise ValueError("seed is required for reproducibility")
+
+class _Stack:
+    """The per-node arrays of ``count`` worlds of one ``(spec, n, start,
+    allow_self_calls)``: world ``w``'s node ``i`` is entry ``w * n + i``.
+    Entries that name a node (next targets, informers) hold its id in its
+    own world."""
+
+    def __init__(self, spec, n: int, start: int, allow_self_calls: bool, count: int):
         self.spec = spec
         self.n = n
         self.start = start
         self.allow_self_calls = allow_self_calls
+        self.count = count
+        self._rules = _rules_for(spec, n, count * n)
+        # Entry of each world's first node, and one past the last world's.
+        self._edges = np.arange(count + 1, dtype=np.int64) * n
+        size = count * n
+        self._status = np.zeros(size, dtype=np.int8)
+        self._mode = np.zeros(size, dtype=np.int8)
+        self._next_target = np.full(size, -1, dtype=np.int64)
+        self._encounters = np.zeros(size, dtype=np.int64)
+        self._informed_at = np.full(size, -1, dtype=np.int64)
+        self._informer = np.full(size, -1, dtype=np.int64)
+        # The round kernel's first-writer scratch; all sentinel between rounds.
+        self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int64)
+
+
+class SimulationState:
+    """One world: its generator, crash schedule, counters and call log.
+
+    Built by ``init_simulation`` (a world alone) or ``init_stack``; the
+    per-node arrays (``_status`` and the rest) are the world's slices of
+    its stack's arrays, indexed by node id.
+    """
+
+    def __init__(self, stack: _Stack, index: int, seed, crash_schedule, keep_log: bool):
+        if seed is None:
+            raise ValueError("seed is required for reproducibility")
+        n, start = stack.n, stack.start
+        self._stack = stack
+        self._rules = stack._rules
+        self._index = index
+        self._base = index * n
+        self.spec = stack.spec
+        self.n = n
+        self.start = start
+        self.allow_self_calls = stack.allow_self_calls
         self.rng = np.random.default_rng(seed)
         self.round = 0
 
@@ -532,18 +639,18 @@ class SimulationState:
             if crash_round < 0:
                 raise ValueError(f"crash round {crash_round} is negative")
         ordered = sorted(self.crash_schedule.items(), key=lambda kv: (kv[1], kv[0]))
-        self._crash_nodes = [node for node, _ in ordered]
+        self._crash_nodes = np.array([node for node, _ in ordered], dtype=np.int64)
         self._crash_rounds = [rnd for _, rnd in ordered]
         self._crash_ptr = 0
 
-        self._status = np.zeros(n, dtype=np.int8)
-        self._mode = np.zeros(n, dtype=np.int8)
-        self._next_target = np.full(n, -1, dtype=np.int64)
-        self._encounters = np.zeros(n, dtype=np.int64)
-        self._informed_at = np.full(n, -1, dtype=np.int64)
-        self._informer = np.full(n, -1, dtype=np.int64)
-        # ``execute_round``'s first-writer scratch; all sentinel between rounds.
-        self._first_serial = np.full(n, _NO_SERIAL, dtype=np.int64)
+        nodes = slice(self._base, self._base + n)
+        self._status = stack._status[nodes]
+        self._mode = stack._mode[nodes]
+        self._next_target = stack._next_target[nodes]
+        self._encounters = stack._encounters[nodes]
+        self._informed_at = stack._informed_at[nodes]
+        self._informer = stack._informer[nodes]
+        self._first_serial = stack._first_serial[nodes]
 
         self.total_calls = 0
         self.informing_calls = 0
@@ -563,7 +670,7 @@ class SimulationState:
     def node(self, i: int) -> NodeState:
         if not 0 <= i < self.n:
             raise ValueError(f"node id {i} out of range for n={self.n}")
-        mode, list_position, call_sequence = self._rules.node_fields(self, i)
+        mode, list_position, call_sequence = self._rules.node_fields(self._stack, self._base + i)
         informed_at = int(self._informed_at[i])
         informer = int(self._informer[i])
         return NodeState(
@@ -580,34 +687,46 @@ class SimulationState:
     # -- internals ---------------------------------------------------------
 
     def _apply_crashes(self, upto_round: int) -> None:
-        while (
-            self._crash_ptr < len(self._crash_rounds)
-            and self._crash_rounds[self._crash_ptr] <= upto_round
-        ):
-            node = self._crash_nodes[self._crash_ptr]
-            self._crash_ptr += 1
-            if self._status[node] == _CRASHED:
-                continue
-            if self._status[node] == _UNINFORMED:
-                self._live_uninformed -= 1
-            self._status[node] = _CRASHED
-            self._mode[node] = _M_NONE
-            self._next_target[node] = -1
-
-    def _draw_random_targets(self, callers: np.ndarray) -> np.ndarray:
-        if len(callers) == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.allow_self_calls:
-            return self.rng.integers(0, self.n, size=len(callers))
-        if self.n == 1:
-            raise ValueError("cannot draw a non-self target with n=1")
-        targets = self.rng.integers(0, self.n - 1, size=len(callers))
-        targets[targets >= callers] += 1
-        return targets
+        # Schedule nodes are distinct, so none of them is crashed yet.
+        end = bisect.bisect_right(self._crash_rounds, upto_round, self._crash_ptr)
+        if end == self._crash_ptr:
+            return
+        nodes = self._crash_nodes[self._crash_ptr : end]
+        self._crash_ptr = end
+        self._live_uninformed -= int(np.count_nonzero(self._status[nodes] == _UNINFORMED))
+        self._status[nodes] = _CRASHED
+        self._mode[nodes] = _M_NONE
+        self._next_target[nodes] = -1
 
     def _finish_round(self, executed_round: int) -> None:
         self.round = executed_round
         self.per_round_informed.append(self.ever_informed_count)
+
+
+def init_stack(
+    spec: ProtocolSpec,
+    n: int,
+    start: int,
+    seeds: Sequence,
+    crash_schedules: Sequence[dict[int, int] | None],
+    *,
+    allow_self_calls: bool = True,
+    keep_log: bool = False,
+) -> list[SimulationState]:
+    """Build the round-0 states of ``len(seeds)`` independent worlds in one
+    stack: world ``w`` draws from ``seeds[w]`` and crashes by
+    ``crash_schedules[w]``; in each, only ``start`` is informed."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} out of range for n={n}")
+    if len(seeds) == 0 or len(crash_schedules) != len(seeds):
+        raise ValueError("need one or more seeds and one crash schedule per seed")
+    stack = _Stack(spec, n, start, allow_self_calls, len(seeds))
+    return [
+        SimulationState(stack, index, seed, schedule, keep_log)
+        for index, (seed, schedule) in enumerate(zip(seeds, crash_schedules))
+    ]
 
 
 def init_simulation(
@@ -620,16 +739,12 @@ def init_simulation(
     allow_self_calls: bool = True,
     keep_log: bool = False,
 ) -> SimulationState:
-    """Build the round-0 state: only ``start`` is informed."""
-    return SimulationState(
-        spec,
-        n,
-        start,
-        seed,
-        crash_schedule,
-        allow_self_calls=allow_self_calls,
-        keep_log=keep_log,
+    """Build the round-0 state of one world: only ``start`` is informed."""
+    (state,) = init_stack(
+        spec, n, start, [seed], [crash_schedule],
+        allow_self_calls=allow_self_calls, keep_log=keep_log,
     )
+    return state
 
 
 def is_complete(state: SimulationState) -> bool:
@@ -643,85 +758,173 @@ def _empty_round(state: SimulationState, executed_round: int) -> RoundReport:
     return RoundReport(executed_round, 0, stalled)
 
 
-def execute_round(state: SimulationState) -> RoundReport:
-    """Execute one synchronous round.
+def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
+    if len(bounds) == 2:
+        return [int(np.count_nonzero(mask))]
+    return np.add.reduceat(mask, bounds[:-1], dtype=np.int64).tolist()
 
-    Crashes scheduled for this round take effect first.  Then the
-    protocol's rules draw every caller's target, a fresh random permutation
-    serializes the calls, the first call in serial order to reach each
-    uninformed target informs it, and the protocol's rules settle the
-    callers' state.  All of it runs in caller order; the permutation is
-    read only to find those first calls (a scatter-min of serial positions
-    into a per-state scratch that holds a sentinel between rounds) and to
-    write a kept log in serial order.  ``tests/reference_engine.py``
-    applies the same calls one by one; the test suite asserts that both
-    produce the same records, state, and RNG consumption.
+
+def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
+    """Execute one synchronous round in each of ``worlds``: worlds of one
+    stack, in stack order, at one round number.  Returns which stalled.
+
+    In each world, crashes scheduled for this round take effect first.
+    Then the protocol's rules draw every caller's target, a fresh random
+    permutation serializes the world's calls, the first call in serial
+    order to reach each uninformed target informs it, and the protocol's
+    rules settle the callers' state.  Each world draws from its own
+    generator; the rest runs once over all the worlds' calls in caller
+    order.  The permutations are read only to find those first calls (a
+    scatter-min of serial positions into a per-stack scratch that holds a
+    sentinel between rounds) and to write kept logs in serial order.
+    ``tests/reference_engine.py`` applies the same calls one by one; the
+    test suite asserts that both produce the same records, state, and RNG
+    consumption.
     """
-    executed_round = state.round + 1
-    state._apply_crashes(executed_round)
-    if state._live_uninformed == 0:
-        # Crashes just completed the run; nobody needs to call.
-        return _empty_round(state, executed_round)
+    stack = worlds[0]._stack
+    executed_round = worlds[0].round + 1
+    for world in worlds:
+        world._apply_crashes(executed_round)
     # Eligible callers were informed in an earlier round and are neither
     # stopped nor crashed; no call of this round has been applied yet, so
     # they are exactly the informed set.
-    callers = np.nonzero(state._status == _INFORMED)[0]
+    callers = np.flatnonzero(stack._status == _INFORMED)
+    edges = callers.searchsorted(stack._edges).tolist()
+
+    stalled, calling, segments = [], [], []
+    for world in worlds:
+        a, b = edges[world._index], edges[world._index + 1]
+        if world._live_uninformed == 0 or a == b:
+            # Crashes just completed the world, or no one is left to call.
+            stalled.append(_empty_round(world, executed_round).stalled)
+        else:
+            stalled.append(False)
+            calling.append(world)
+            segments.append((a, b))
+    if not calling:
+        return stalled
+    if len(calling) < stack.count:
+        # Worlds of the stack that are done (or not asked to run) keep
+        # their informed nodes; leave their calls out.
+        callers = np.concatenate([callers[a:b] for a, b in segments])
+    bounds = list(itertools.accumulate((b - a for a, b in segments), initial=0))
+    calls = _Calls(stack, calling, bounds, callers)
+    targets, kinds = stack._rules.draw(stack, calls)
+    # ``permutation(k)`` is ``shuffle(arange(k))``: shuffling each world's
+    # slice of one ``arange`` draws its permutation, offset to its calls.
     k = len(callers)
-    if k == 0:
-        return _empty_round(state, executed_round)
-    targets, kinds = state._rules.draw(state, callers)
-    order = state.rng.permutation(k)
+    order = np.arange(k)
+    for world, a, b in zip(calling, bounds, bounds[1:]):
+        world.rng.shuffle(order[a:b])
 
     # Outcomes: targets crashed before the round stay crashed; among calls
     # to targets uninformed at round start, the first at each target in
     # serial order informs it, later ones find it already informed.
-    t_status = state._status[targets]
+    entries = calls.entries(targets)
+    t_status = stack._status[entries]
     crashed_mask = t_status == _CRASHED
     open_serial = np.flatnonzero((t_status == _UNINFORMED)[order])
     open_calls = order[open_serial]
-    open_targets = targets[open_calls]
-    first = state._first_serial
+    open_targets = entries[open_calls]
+    first = stack._first_serial
     np.minimum.at(first, open_targets, open_serial)
     winners = open_calls[first[open_targets] == open_serial]
     first[open_targets] = _NO_SERIAL
     informed_mask = np.zeros(k, dtype=bool)
     informed_mask[winners] = True
     already_mask = ~(informed_mask | crashed_mask)
-    new_targets = targets[winners]
+    new_targets = entries[winners]
 
-    crashed = int(np.count_nonzero(crashed_mask))
-    state.total_calls += k
-    state.informing_calls += len(winners)
-    state.encounter_calls += k - len(winners) - crashed
-    state.crashed_target_calls += crashed
-
-    state._status[new_targets] = _INFORMED
-    state._informed_at[new_targets] = executed_round
-    state._informer[new_targets] = callers[winners]
-    state.ever_informed_count += len(new_targets)
-    state._live_uninformed -= len(new_targets)
-
-    state._rules.settle(
-        state, callers, targets, informed_mask, already_mask, crashed_mask
+    stack._status[new_targets] = _INFORMED
+    stack._informed_at[new_targets] = executed_round
+    stack._informer[new_targets] = calls.caller_ids(winners)
+    stack._rules.settle(
+        stack, calls, targets, entries, informed_mask, already_mask, crashed_mask
     )
 
-    if state.log is not None:
-        outcomes = np.full(k, _O_ALREADY, dtype=np.int8)
-        outcomes[crashed_mask] = _O_CRASHED
-        outcomes[winners] = _O_INFORMED
-        state.log.append_columns(
-            CallRecord(
-                np.full(k, executed_round, dtype=np.int64),
-                callers[order],
-                targets[order],
-                kinds[order],
-                outcomes[order],
-                np.arange(k, dtype=np.int64),
+    outcomes = None
+    informs = _per_world_counts(informed_mask, bounds)
+    crashes = _per_world_counts(crashed_mask, bounds)
+    for world, a, b, informed, crashed in zip(calling, bounds, bounds[1:], informs, crashes):
+        world.total_calls += b - a
+        world.informing_calls += informed
+        world.encounter_calls += b - a - informed - crashed
+        world.crashed_target_calls += crashed
+        world.ever_informed_count += informed
+        world._live_uninformed -= informed
+        if world.log is not None:
+            if outcomes is None:
+                outcomes = np.full(k, _O_ALREADY, dtype=np.int8)
+                outcomes[crashed_mask] = _O_CRASHED
+                outcomes[winners] = _O_INFORMED
+            serial = order[a:b]
+            world.log.append_columns(
+                CallRecord(
+                    np.full(b - a, executed_round, dtype=np.int64),
+                    calls.caller_ids(serial),
+                    targets[serial],
+                    kinds[serial],
+                    outcomes[serial],
+                    np.arange(b - a, dtype=np.int64),
+                )
             )
-        )
+        world._finish_round(executed_round)
+    return stalled
 
-    state._finish_round(executed_round)
-    return RoundReport(executed_round, k, False)
+
+def execute_round(state: SimulationState) -> RoundReport:
+    """Execute one synchronous round of one world (see ``_execute_rounds``)."""
+    calls_before = state.total_calls
+    (stalled,) = _execute_rounds([state])
+    return RoundReport(state.round, state.total_calls - calls_before, stalled)
+
+
+def _summary(state: SimulationState, outcome: str, completion_round=None) -> TraceSummary:
+    return TraceSummary(
+        n=state.n,
+        outcome=outcome,
+        completion_round=completion_round,
+        rounds_executed=state.round,
+        total_calls=state.total_calls,
+        informing_calls=state.informing_calls,
+        encounter_calls=state.encounter_calls,
+        crashed_target_calls=state.crashed_target_calls,
+        per_round_informed=tuple(state.per_round_informed),
+    )
+
+
+def _run_worlds(worlds, max_rounds, execute) -> list[TraceSummary]:
+    """Run worlds of one stack together until each completes, stalls or
+    reaches the round cap; ``execute(live)`` runs one round of the live
+    worlds and returns which stalled."""
+    cap = default_round_cap(worlds[0].n) if max_rounds is None else max_rounds
+    if cap < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {cap}")
+    summaries = {}
+    live = list(worlds)
+    while live:
+        running = []
+        for world in live:
+            if is_complete(world):
+                summaries[world] = _summary(world, RUN_COMPLETED, world.round)
+            elif world.round >= cap:
+                summaries[world] = _summary(world, RUN_CAPPED)
+            else:
+                running.append(world)
+        live = []
+        if running:
+            for world, stalled in zip(running, execute(running)):
+                if stalled:
+                    summaries[world] = _summary(world, RUN_STALLED)
+                else:
+                    live.append(world)
+    return [summaries[world] for world in worlds]
+
+
+def run_stack(worlds: Sequence[SimulationState], max_rounds: int | None = None) -> list[TraceSummary]:
+    """``run`` each of ``worlds``, as ``init_stack`` built them, with every
+    round of the live worlds executed at once; one summary per world."""
+    return _run_worlds(worlds, max_rounds, _execute_rounds)
 
 
 def run(
@@ -737,31 +940,7 @@ def run(
     only with crashes or degenerate parameters).  The summary's
     completion_round is absent on stall and cap outcomes.
     """
-    cap = default_round_cap(state.n) if max_rounds is None else max_rounds
-    if cap < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {cap}")
-    outcome = RUN_CAPPED
-    completion_round = None
-    while True:
-        if is_complete(state):
-            outcome = RUN_COMPLETED
-            completion_round = state.round
-            break
-        if state.round >= cap:
-            outcome = RUN_CAPPED
-            break
-        report = round_engine(state)
-        if report.stalled:
-            outcome = RUN_STALLED
-            break
-    return TraceSummary(
-        n=state.n,
-        outcome=outcome,
-        completion_round=completion_round,
-        rounds_executed=state.round,
-        total_calls=state.total_calls,
-        informing_calls=state.informing_calls,
-        encounter_calls=state.encounter_calls,
-        crashed_target_calls=state.crashed_target_calls,
-        per_round_informed=tuple(state.per_round_informed),
+    (summary,) = _run_worlds(
+        [state], max_rounds, lambda live: [round_engine(world).stalled for world in live]
     )
+    return summary

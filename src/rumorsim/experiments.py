@@ -26,7 +26,9 @@ from .core import (
     TraceSummary,
     default_round_cap,
     init_simulation,
-    run,
+    init_stack,
+    run,  # not called here; importable for callers that patch it by name
+    run_stack,
 )
 from .protocols import (
     LISTS_IDENTICAL,
@@ -211,8 +213,14 @@ def generate_crash_schedule(
     return dict(zip(nodes.tolist(), rounds.tolist()))
 
 
-def build_trial_state(config: ExperimentConfig, trial: int):
-    """The fully seeded simulation state for one trial of a batch."""
+# Stacked nodes per batch step: ``run_trials`` runs ``_STACK_NODES // n``
+# trials (at least one) as one stack, so a batch's per-node arrays stay near
+# this size whatever its trial count.  Results do not depend on it.
+_STACK_NODES = 2**15
+
+
+def _trial_inputs(config: ExperimentConfig, trial: int):
+    """(simulation seed, crash schedule) of one trial of a batch."""
     crash_seed, sim_seed = trial_seed_sequences(
         config.master_seed, trial, config.seed_group
     )
@@ -220,6 +228,12 @@ def build_trial_state(config: ExperimentConfig, trial: int):
     if config.crash is not None and config.crash.fraction > 0:
         rng = np.random.default_rng(crash_seed)
         schedule = generate_crash_schedule(config.n, config.crash, rng, config.start)
+    return sim_seed, schedule
+
+
+def build_trial_state(config: ExperimentConfig, trial: int):
+    """The fully seeded simulation state for one trial of a batch."""
+    sim_seed, schedule = _trial_inputs(config, trial)
     return init_simulation(
         config.spec,
         config.n,
@@ -232,15 +246,30 @@ def build_trial_state(config: ExperimentConfig, trial: int):
 
 
 def run_trials(config: ExperimentConfig) -> SampleStats:
-    """Run the batch; per-trial stalls and caps are reported, never raised."""
+    """Run the batch; per-trial stalls and caps are reported, never raised.
+
+    Trials run in stacks of ``_STACK_NODES // n`` worlds, each on its own
+    generator, so every trial's summary and trace equal those of
+    ``run(build_trial_state(config, trial), config.max_rounds)``.
+    """
     summaries = []
     traces = [] if config.retention == RETAIN_TRACE else None
-    for trial in range(config.trials):
-        state = build_trial_state(config, trial)
-        summary = run(state, config.max_rounds)
-        summaries.append(summary)
+    per_stack = max(1, _STACK_NODES // config.n)
+    for first in range(0, config.trials, per_stack):
+        trials = range(first, min(first + per_stack, config.trials))
+        seeds, schedules = zip(*(_trial_inputs(config, trial) for trial in trials))
+        worlds = init_stack(
+            config.spec,
+            config.n,
+            config.start,
+            seeds,
+            schedules,
+            allow_self_calls=config.allow_self_calls,
+            keep_log=traces is not None,
+        )
+        summaries.extend(run_stack(worlds, config.max_rounds))
         if traces is not None:
-            traces.append(state.log)
+            traces.extend(world.log for world in worlds)
     completed = [s for s in summaries if s.outcome == RUN_COMPLETED]
     stalled = sum(1 for s in summaries if s.outcome == RUN_STALLED)
     capped = sum(1 for s in summaries if s.outcome == RUN_CAPPED)

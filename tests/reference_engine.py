@@ -37,6 +37,7 @@ from rumorsim.core import (
     CallRecord,
     RoundReport,
     SimulationState,
+    _Calls,
     _empty_round,
 )
 from rumorsim.protocols import LISTS_IDENTICAL, LISTS_INDEPENDENT, Hybrid, Quasirandom
@@ -67,7 +68,8 @@ def collect_intents(state: SimulationState) -> list[CallIntent]:
             CallIntent(caller, independent_list_target(state, caller), CallKind.SEQUENTIAL)
             for caller in callers.tolist()
         ]
-    targets, kinds = state._rules.draw(state, callers)
+    calls = _Calls(state._stack, [state], [0, len(callers)], callers + state._base)
+    targets, kinds = state._rules.draw(state._stack, calls)
     return [
         CallIntent(int(c), int(t), _KIND_ENUM[k])
         for c, t, k in zip(callers, targets, kinds)
@@ -94,7 +96,7 @@ def independent_list_target(state: SimulationState, caller: int) -> int:
     does not hold yet, or, once the list holds all n nodes, the entry at
     its call index modulo n."""
     drawn = reference_drawn(state).setdefault(caller, [])
-    idx = int(state._rules.list_index[caller])
+    idx = int(state._rules.list_index[state._base + caller])
     if len(drawn) == state.n:
         return drawn[idx % state.n]
     while True:
@@ -109,7 +111,7 @@ def _advance_list_caller(state: SimulationState, caller: int, target: int) -> No
     if state.spec.lists == LISTS_IDENTICAL:
         state._next_target[caller] = (target + 1) % state.n
     else:
-        state._rules.list_index[caller] += 1
+        state._rules.list_index[state._base + caller] += 1
 
 
 def _budget_limit(state: SimulationState, caller: int) -> int:

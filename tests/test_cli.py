@@ -18,6 +18,7 @@ from rumorsim.cli import (
     main,
 )
 from rumorsim.core import CallKind, CallOutcome
+from rumorsim import experiments
 from rumorsim.experiments import sweep, sweep_grid
 from rumorsim.traceio import format_jsonl
 
@@ -200,6 +201,57 @@ def test_simulate_independent_lists_at_scale_frozen(capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == FROZEN_INDEPENDENT_LISTS_DIGEST
+
+
+# SHA-256 of what each batch command prints.  Between them they run all four
+# protocols, the three crash timings, a non-zero start, a cell with stalled
+# trials and a cell where some trials complete and the rest hit the cap.
+# Frozen like the digests above.
+FROZEN_BATCH_DIGESTS = {
+    ("sweep", "--n-list", "16,100", "--R-list", "1,3",
+     "--protocols", "push,quasirandom-identical,quasirandom-independent",
+     "--trials", "25", "--format", "structured", "--seed", "11"):
+        "436beb403ba386ad8c3179814612d68b5da1f29b7fbb74975a622c68241ea858",
+    ("sweep", "--n-list", "48", "--R-list", "2", "--protocols", "push,quasirandom-independent",
+     "--trials", "25", "--format", "structured", "--seed", "12",
+     "--rho", "0.25", "--crash-timing", "at_start"):
+        "91741c905a948775f7d677c93d9c48c05dc440f04a167a32a7c61bc61ef44774",
+    ("sweep", "--n-list", "32", "--R-list", "1", "--protocols", "quasirandom-identical",
+     "--trials", "25", "--format", "structured", "--seed", "2",
+     "--rho", "0.8", "--crash-timing", "fixed_round", "--crash-round", "4"):
+        "e99e0ce7c6dcc2e5d65d72667b7c7b70aef41f7ad81aff8652a8864cef3f9908",
+    ("sweep", "--n-list", "1024", "--R-list", "2", "--protocols", "push",
+     "--trials", "40", "--cap", "17", "--format", "structured", "--seed", "13"):
+        "ddd8d9ed03f30875bf926b87e03f54cdbc7440b6a9ec1c8cc45eb8e5cb5786d3",
+    ("compare", "--n", "64",
+     "--protocols", "hybrid,quasirandom-identical,push,quasirandom-independent",
+     "--trials", "30", "--rho", "0.1", "--crash-timing", "uniform_round", "--seed", "14"):
+        "797a1fc37b77215be56805be3b61a2ea57e9cc6e5db5ed495327a77ca1f728dc",
+    ("compare", "--n", "40", "--protocols", "hybrid,push", "--R", "1", "--trials", "30",
+     "--rho", "0.5", "--crash-timing", "uniform_round", "--crash-max-round", "3",
+     "--start", "7", "--seed", "15"):
+        "8163fda99c5fffc92ef5f5f279212c28575753f18ac5a2249281376456c322f3",
+}
+
+
+@pytest.mark.parametrize("stack_nodes", [None, 1, 100])
+def test_batch_output_bytes_frozen(stack_nodes, capsys, monkeypatch):
+    # Batches run their trials in stacks; the bytes must not depend on the
+    # stack size (one trial per stack, a few per stack, or the default).
+    if stack_nodes is not None:
+        monkeypatch.setattr(experiments, "_STACK_NODES", stack_nodes)
+    digests, outcomes = {}, set()
+    for argv in FROZEN_BATCH_DIGESTS:
+        assert run_cli(*argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        digests[argv] = hashlib.sha256(stdout.encode()).hexdigest()
+        doc = json.loads(stdout)
+        for stats in [cell["stats"] for cell in doc.get("cells", ())] + list(
+            doc.get("protocols", {}).values()
+        ):
+            outcomes.update(key for key in ("stalled_count", "capped_count") if stats[key])
+    assert digests == FROZEN_BATCH_DIGESTS
+    assert outcomes == {"stalled_count", "capped_count"}
 
 
 @pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rumorsim.core import (
     _NO_SERIAL,
+    _Calls,
     _IndependentListRules,
     CallKind,
     CallOutcome,
@@ -28,8 +29,10 @@ from rumorsim.core import (
     default_round_cap,
     execute_round,
     init_simulation,
+    init_stack,
     is_complete,
     run,
+    run_stack,
     successor,
 )
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
@@ -130,6 +133,10 @@ def test_init_rejects_bad_arguments():
         Hybrid(0)
     with pytest.raises(ValueError):
         init_simulation(Hybrid(1), 4, 0, seed=None)
+    with pytest.raises(ValueError):
+        init_stack(Hybrid(1), 4, 0, [1, 2], [None])
+    with pytest.raises(ValueError):
+        init_stack(Hybrid(1), 4, 0, [], [])
 
 
 def test_init_rejects_crashed_start_or_negative_round():
@@ -505,6 +512,19 @@ def execute_round_leaving_clean_scratch(state):
 
 
 @st.composite
+def crash_schedules(draw, n, start):
+    everyone = draw(st.booleans())
+    crashing = set(range(n)) if everyone else draw(st.sets(st.integers(0, n - 1)))
+    return {
+        node: draw(st.integers(min_value=0, max_value=8))
+        for node in sorted(crashing - {start})
+    }
+
+
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@st.composite
 def kernel_configs(draw):
     spec = draw(st.sampled_from(
         [Hybrid(r) for r in range(1, 5)]
@@ -514,13 +534,8 @@ def kernel_configs(draw):
     start = draw(st.integers(min_value=0, max_value=n - 1))
     # With n = 1 a random call has no target but the caller itself.
     allow_self_calls = n == 1 or draw(st.booleans())
-    everyone = draw(st.booleans())
-    crashing = set(range(n)) if everyone else draw(st.sets(st.integers(0, n - 1)))
-    schedule = {
-        node: draw(st.integers(min_value=0, max_value=8))
-        for node in sorted(crashing - {start})
-    }
-    seed = draw(st.integers(min_value=0, max_value=2**63 - 1))
+    schedule = draw(crash_schedules(n, start))
+    seed = draw(seeds)
     return spec, n, start, allow_self_calls, schedule, seed
 
 
@@ -533,6 +548,9 @@ def test_property_kernel_matches_reference_engine(config):
     )
 
 
+NODE_ARRAYS = ("_status", "_mode", "_next_target", "_encounters", "_informed_at", "_informer")
+
+
 def assert_kernel_matches_reference(spec, n, seed, start=0, **options):
     states = [
         init_simulation(spec, n, start, seed=seed, keep_log=True, **options) for _ in range(2)
@@ -541,12 +559,63 @@ def assert_kernel_matches_reference(spec, n, seed, start=0, **options):
     ref = run(states[1], round_engine=execute_round_reference)
     assert fast == ref
     assert list(states[0].log) == reference_log(states[1])
-    arrays = ("_status", "_mode", "_next_target", "_encounters", "_informed_at", "_informer")
-    for name in arrays:
+    for name in NODE_ARRAYS:
         assert np.array_equal(getattr(states[0], name), getattr(states[1], name)), name
     if isinstance(spec, Quasirandom) and spec.lists == "independent":
         assert_same_independent_lists(states[0], states[1])
     assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+
+
+@st.composite
+def stack_configs(draw):
+    spec, n, start, allow_self_calls, schedule, seed = draw(kernel_configs())
+    more = draw(st.lists(st.tuples(crash_schedules(n, start), seeds), max_size=4))
+    max_rounds = draw(st.none() | st.integers(min_value=1, max_value=12))
+    return spec, n, start, allow_self_calls, [(schedule, seed)] + more, max_rounds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=stack_configs())
+def test_property_stacked_worlds_match_worlds_run_alone(config):
+    # Each world of a stack ends as it does run alone, by the kernel and by
+    # the reference engine: worlds finish, stall or hit the cap at
+    # different rounds while the rest of their stack keeps running.
+    spec, n, start, allow_self_calls, worlds, max_rounds = config
+    options = dict(allow_self_calls=allow_self_calls, keep_log=True)
+    stack = init_stack(
+        spec, n, start, [seed for _, seed in worlds], [schedule for schedule, _ in worlds],
+        **options,
+    )
+    summaries = run_stack(stack, max_rounds)
+    for world, summary, (schedule, seed) in zip(stack, summaries, worlds):
+        alone, reference = (
+            init_simulation(spec, n, start, seed=seed, crash_schedule=schedule, **options)
+            for _ in range(2)
+        )
+        assert run(alone, max_rounds) == summary
+        assert run(reference, max_rounds, round_engine=execute_round_reference) == summary
+        assert world.log == alone.log
+        assert list(world.log) == reference_log(reference)
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(world, name), getattr(alone, name)), name
+            assert np.array_equal(getattr(world, name), getattr(reference, name)), name
+        nodes = [world.node(i) for i in range(n)]
+        assert nodes == [alone.node(i) for i in range(n)]
+        assert nodes == [reference_node(reference, i) for i in range(n)]
+        assert world.rng.bit_generator.state == alone.rng.bit_generator.state
+        assert world.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_shuffled_slices_draw_permutations():
+    # The kernel relies on this: shuffling a slice of ``arange`` draws
+    # ``permutation(len)`` offset by the slice's start, consuming the
+    # generator alike.
+    for k, offset in ((1, 0), (2, 5), (7, 3), (4096, 100)):
+        alone, sliced = np.random.default_rng(k), np.random.default_rng(k)
+        values = np.arange(offset + k + 2)
+        sliced.shuffle(values[offset : offset + k])
+        assert np.array_equal(values[offset : offset + k], alone.permutation(k) + offset)
+        assert sliced.bit_generator.state == alone.bit_generator.state
 
 
 def assert_same_independent_lists(kernel_state, reference_state):
@@ -602,8 +671,9 @@ def test_independent_lists_laps_match_reference(n):
         callers = np.flatnonzero(pick.random(n) < 0.7)
         if len(callers) == 0:
             continue
-        targets, _ = kernel._rules.draw(kernel, callers)
-        kernel._rules.settle(kernel, callers, targets, None, None, None)
+        calls = _Calls(kernel._stack, [kernel], [0, len(callers)], callers)
+        targets, _ = kernel._rules.draw(kernel._stack, calls)
+        kernel._rules.settle(kernel._stack, calls, targets, None, None, None, None)
         expected = [independent_list_target(reference, c) for c in callers.tolist()]
         reference._rules.list_index[callers] += 1
         assert targets.tolist() == expected
@@ -625,6 +695,24 @@ def test_round_allocates_no_per_node_array():
         tracemalloc.stop()
     assert report.calls_made == 1
     assert peak / n < 2
+
+
+def test_first_columns_read_holds_the_log_once():
+    # The first read joins the per-round chunks field by field, freeing
+    # each field's chunks once joined: at most one column more than the log.
+    tracemalloc.start()
+    try:
+        state = init_simulation(Hybrid(4), 2**13, seed=0, keep_log=True)
+        run(state)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        columns = state.log.columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(state.log)
+    assert rows > 2**15 and len(columns.round) == rows
+    assert peak - before < 10 * rows
 
 
 # ------------------------------------------------------ property-based runs

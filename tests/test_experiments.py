@@ -1,12 +1,15 @@
 """Harness tests: seeding discipline, crash schedules, stats, sweeps."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumorsim import experiments
 from rumorsim.bounds import lower_bound_rounds, upper_bound_rounds
 from rumorsim.core import RUN_COMPLETED
 from rumorsim.experiments import (
@@ -24,6 +27,7 @@ from rumorsim.experiments import (
     validate_bounds,
 )
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
+from rumorsim.traceio import format_json, format_trace_csv, summary_to_dict
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
 BASE = ExperimentConfig(spec=Hybrid(2), n=128, trials=30, master_seed=42)
@@ -210,6 +214,51 @@ def test_retained_traces_verify():
 
 def test_summary_retention_keeps_no_traces():
     assert run_trials(BASE).traces is None
+
+
+def test_batch_memory_is_bounded_by_the_stack_budget():
+    # About 140 bytes per stacked node at peak: the 200 trials' 819k nodes
+    # stacked at once would take some 100 MB, a stack of 2^15 nodes under
+    # 6 MB (180 bytes per node).
+    config = ExperimentConfig(
+        spec=Hybrid(2), n=4096, trials=200, master_seed=3, crash=CrashModel(0.1)
+    )
+    tracemalloc.start()
+    try:
+        stats = run_trials(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.completed_count + stats.stalled_count == 200
+    assert peak < 180 * 2**15
+
+
+# SHA-256 over each trial's summary JSON and trace CSV of a 12-trial batch
+# at n=24 with no self-calls, start 3 and uniform-round crashes: the CLI's
+# batch commands cannot turn self-calls off, so the API pins that path.
+FROZEN_NO_SELF_CALL_BATCHES = {
+    Hybrid(2): "f180f4a42d9286c64239f956314a0bbe4a7f3e58377d93f7d5d66de65e229f34",
+    FullyRandomPush(): "435bf690a58ccde8d1b19898651ec2de297eae09d0ea88f941ce1a7916695933",
+    Quasirandom("identical"): "b60d012d96e232fc2312f23b1a77b9a900d49a756a9cfe5bd9b5b3f8e1ff4263",
+    Quasirandom("independent"): "aa660a43911988de767b7879f64f5144e53a6e5f9c88b51f918cd4db19be2a08",
+}
+
+
+@pytest.mark.parametrize("stack_nodes", [None, 24, 100])
+@pytest.mark.parametrize("spec", list(FROZEN_NO_SELF_CALL_BATCHES), ids=str)
+def test_no_self_call_batch_bytes_frozen(spec, stack_nodes, monkeypatch):
+    if stack_nodes is not None:
+        monkeypatch.setattr(experiments, "_STACK_NODES", stack_nodes)
+    config = ExperimentConfig(
+        spec=spec, n=24, trials=12, master_seed=16, crash=CrashModel(0.2),
+        retention="trace", start=3, allow_self_calls=False,
+    )
+    stats = run_trials(config)
+    digest = hashlib.sha256()
+    for summary, trace in zip(stats.summaries, stats.traces):
+        digest.update(format_json(summary_to_dict(summary)).encode())
+        digest.update(format_trace_csv(trace).encode())
+    assert digest.hexdigest() == FROZEN_NO_SELF_CALL_BATCHES[spec]
 
 
 # ------------------------------------------------------------------- compare
