@@ -34,7 +34,6 @@ from .core import (
     CallLog,
     CallOutcome,
     CallRecord,
-    NodeStatus,
     RoundReport,
     RUN_CAPPED,
     RUN_COMPLETED,
@@ -44,9 +43,7 @@ from .core import (
     default_round_cap,
     execute_round,
     init_simulation,
-    is_complete,
     run,
-    successor,
 )
 from .experiments import (
     ComparisonReport,
@@ -89,7 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "FullyRandomPush",
     "Hybrid",
-    "NodeStatus",
     "ProtocolSpec",
     "Quasirandom",
     "RoundReport",
@@ -110,7 +106,6 @@ __all__ = [
     "execute_round",
     "generate_crash_schedule",
     "init_simulation",
-    "is_complete",
     "lower_bound_margin",
     "lower_bound_rounds",
     "max_total_calls",
@@ -121,7 +116,6 @@ __all__ = [
     "read_trace_csv",
     "run",
     "run_trials",
-    "successor",
     "sweep",
     "sweep_grid",
     "upper_bound_rounds",

@@ -26,18 +26,18 @@ node ``i`` at entry ``w * n + i``.  Each world keeps its own generator,
 crash schedule, counters and call log.  A single run is a one-world stack;
 ``run_trials`` runs its trials in larger ones.
 
-Each protocol's rules live in one private rules object: the start node's
-round-0 setup, the round's target draws, and the callers' state update
-once the round's outcomes are known.  ``_execute_rounds`` is the one round
-kernel, run by ``execute_round`` for one world and by ``run_stack`` for a
-stack.  Each world draws from its own generator; everything else is done
-once over the stack's concatenated calls, in caller (ascending entry)
-order: the serialization only breaks ties among calls to the same
-uninformed target, which a scatter-min of serial positions resolves, and
-orders a kept log.  Entries of different worlds never collide, so the
-worlds cannot interact.  The test suite keeps a per-call statement of the
-same semantics (``tests/reference_engine.py``) as the oracle the kernel is
-checked against.
+Each protocol's rules live in one private rules class, found in ``_RULES``
+by the spec's ``name``: the start node's round-0 setup, the round's target
+draws, and the callers' state update once the round's outcomes are known.
+``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
+one world and by ``run_stack`` for a stack.  Each world draws from its own
+generator; everything else is done once over the stack's concatenated
+calls, in caller (ascending entry) order: the serialization only breaks
+ties among calls to the same uninformed target, which a scatter-min of
+serial positions resolves, and orders a kept log.  Entries of different
+worlds never collide, so the worlds cannot interact.  The test suite keeps
+a per-call statement of the same semantics (``tests/reference_engine.py``)
+as the oracle the kernel is checked against.
 
 Every draw is vectorised.  Independent lists keep each node's drawn prefix
 in an int32 node-by-call-index table and extend it by a block draw: one
@@ -64,20 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocols import (
-    LISTS_IDENTICAL,
-    FullyRandomPush,
-    Hybrid,
-    ProtocolSpec,
-    Quasirandom,
-)
-
-
-class NodeStatus(str, Enum):
-    UNINFORMED = "uninformed"
-    INFORMED = "informed"
-    STOPPED = "stopped"
-    CRASHED = "crashed"
+from .protocols import ProtocolSpec, protocol_name
 
 
 class CallKind(str, Enum):
@@ -104,44 +91,10 @@ _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
 _NO_SERIAL = np.iinfo(np.int64).max
 
 # Code -> member tables; each enum's declaration order is its code order.
-_STATUS_ENUM = tuple(NodeStatus)
 _KIND_ENUM = tuple(CallKind)
 _OUTCOME_ENUM = tuple(CallOutcome)
 _KIND_CODE = {member: code for code, member in enumerate(_KIND_ENUM)}
 _OUTCOME_CODE = {member: code for code, member in enumerate(_OUTCOME_ENUM)}
-
-
-@dataclass(frozen=True)
-class Sequential:
-    """Caller walks the cyclic order; the next call goes to ``next_target``."""
-
-    next_target: int
-
-
-@dataclass(frozen=True)
-class PendingRandom:
-    """Caller draws a fresh uniformly random target next round."""
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Read-only snapshot of one node.
-
-    ``mode`` is set for hybrid and fully-random callers; list-walking
-    nodes expose their progress through ``list_position`` instead (the
-    next target id for the shared list, the call index for independent
-    lists) and, for independent lists, the lazily materialized prefix of
-    their call sequence.
-    """
-
-    id: int
-    status: NodeStatus
-    mode: Sequential | PendingRandom | None
-    encounters: int
-    informed_at: int | None
-    informer: int | None
-    list_position: int | None = None
-    call_sequence: tuple[int, ...] | None = None
 
 
 class CallRecord(NamedTuple):
@@ -254,13 +207,6 @@ class TraceSummary:
     per_round_informed: tuple[int, ...]
 
 
-def successor(i: int, n: int) -> int:
-    """Next node along the cyclic order: (i+1) mod n."""
-    if not 0 <= i < n:
-        raise ValueError(f"node id {i} out of range for n={n}")
-    return (i + 1) % n
-
-
 def _successors(ids: np.ndarray, n: int) -> np.ndarray:
     """``(ids + 1) % n`` for node ids in ``[0, n)``, as a wrap."""
     nxt = ids + 1
@@ -343,6 +289,9 @@ class _Rules:
     leaves everything protocol-specific to these operations.
     """
 
+    def __init__(self, spec: ProtocolSpec, n: int, entries: int):
+        """Rules of ``spec`` for a stack of ``entries`` nodes in worlds of ``n``."""
+
     def setup(self, state: SimulationState) -> None:
         """Round-0 state of one world's start node."""
 
@@ -362,26 +311,17 @@ class _Rules:
         """
         raise NotImplementedError
 
-    def node_fields(self, stack: _Stack, entry: int):
-        """(mode, list_position, call_sequence) of the node at ``entry``."""
-        mode = stack._mode[entry]
-        if mode == _M_SEQ:
-            return Sequential(int(stack._next_target[entry])), None, None
-        if mode == _M_PENDING:
-            return PendingRandom(), None, None
-        return None, None, None
-
 
 class _HybridRules(_Rules):
     """Walk the cyclic order; an encounter costs one budget unit and sends
     the caller to a random restart, or stops it once the budget is spent."""
 
-    def __init__(self, stop_budget: int):
-        self.stop_budget = stop_budget
+    def __init__(self, spec, n, entries):
+        self.stop_budget = spec.stop_budget
 
     def setup(self, state):
         state._mode[state.start] = _M_SEQ
-        state._next_target[state.start] = successor(state.start, state.n)
+        state._next_target[state.start] = (state.start + 1) % state.n
 
     def draw(self, stack, calls):
         callers = calls.callers
@@ -455,10 +395,6 @@ class _SharedListRules(_Rules):
     def settle(self, stack, calls, targets, entries, informed, already, crashed):
         stack._next_target[calls.callers] = _successors(targets, stack.n)
 
-    def node_fields(self, stack, entry):
-        position = int(stack._next_target[entry])
-        return None, (position if position >= 0 else None), None
-
 
 class _IndependentListRules(_Rules):
     """Quasirandom with independent lists: each node walks its own uniformly
@@ -466,24 +402,24 @@ class _IndependentListRules(_Rules):
 
     ``drawn[e, j]`` is the ``j``-th list entry of the node at stack entry
     ``e``, -1 where not drawn yet; its columns grow as the longest prefix
-    does, up to ``n``.  A node's ``list_index`` counts its calls, and once
-    its list holds all ``n`` entries it calls ``drawn[e, list_index % n]``.
+    does, up to ``n``.  A node's ``list_index`` counts its calls.  No list
+    is drawn from once full: a node that has called all ``n`` nodes has
+    informed every live one, so its world is complete.
     """
 
     # Callers tested per block draw; a rejected value costs a re-test of at
     # most this many callers, whatever the round's size.
     CHUNK = 2048
 
-    def __init__(self, n: int, entries: int):
+    def __init__(self, spec, n, entries):
         self.n = n
         self.drawn = np.full((entries, 0), -1, dtype=np.int32)
         self.list_index = np.zeros(entries, dtype=np.int64)
 
-    def prefix(self, entry: int) -> np.ndarray:
-        return self.drawn[entry, : min(int(self.list_index[entry]), self.n)]
-
     def _widen(self, width: int) -> None:
         rows, old = self.drawn.shape
+        if width > self.n:
+            raise IndexError(f"a list of all {self.n} nodes has no entry left to draw")
         if width > old:
             # A run takes about log2 n + ln n rounds, so one allocation of
             # 2 log2 n columns mostly suffices; each growth adds half.
@@ -534,22 +470,12 @@ class _IndependentListRules(_Rules):
         callers = calls.callers
         idx = self.list_index[callers]
         targets = np.empty(len(callers), dtype=np.int64)
-        fresh = np.flatnonzero(idx < self.n)
-        bounds = fresh.searchsorted(calls.bounds).tolist()
-        for world, a, b in zip(calls.worlds, bounds, bounds[1:]):
-            mine = fresh[a:b]
-            targets[mine] = self._draw_fresh(world.rng, callers[mine], idx[mine])
-        lapped = idx >= self.n
-        targets[lapped] = self.drawn[callers[lapped], idx[lapped] % self.n]
+        for world, a, b in zip(calls.worlds, calls.bounds, calls.bounds[1:]):
+            targets[a:b] = self._draw_fresh(world.rng, callers[a:b], idx[a:b])
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
 
     def settle(self, stack, calls, targets, entries, informed, already, crashed):
         self.list_index[calls.callers] += 1
-
-    def node_fields(self, stack, entry):
-        if stack._status[entry] == _INFORMED or self.list_index[entry] > 0:
-            return None, int(self.list_index[entry]), tuple(self.prefix(entry).tolist())
-        return None, None, None
 
 
 class _PushRules(_Rules):
@@ -566,16 +492,13 @@ class _PushRules(_Rules):
         stack._mode[entries[informed]] = _M_PENDING
 
 
-def _rules_for(spec: ProtocolSpec, n: int, entries: int) -> _Rules:
-    if isinstance(spec, Hybrid):
-        return _HybridRules(spec.stop_budget)
-    if isinstance(spec, Quasirandom):
-        if spec.lists == LISTS_IDENTICAL:
-            return _SharedListRules()
-        return _IndependentListRules(n, entries)
-    if isinstance(spec, FullyRandomPush):
-        return _PushRules()
-    raise TypeError(f"not a protocol spec: {spec!r}")
+# Each protocol's rules, by name.
+_RULES = {
+    "hybrid": _HybridRules,
+    "quasirandom-identical": _SharedListRules,
+    "quasirandom-independent": _IndependentListRules,
+    "push": _PushRules,
+}
 
 
 # -- worlds and stacks -------------------------------------------------------
@@ -593,7 +516,7 @@ class _Stack:
         self.start = start
         self.allow_self_calls = allow_self_calls
         self.count = count
-        self._rules = _rules_for(spec, n, count * n)
+        self._rules = _RULES[protocol_name(spec)](spec, n, count * n)
         # Entry of each world's first node, and one past the last world's.
         self._edges = np.arange(count + 1, dtype=np.int64) * n
         size = count * n
@@ -665,27 +588,6 @@ class SimulationState:
         self.log: CallLog | None = CallLog() if keep_log else None
         self._rules.setup(self)
 
-    # -- snapshots ---------------------------------------------------------
-
-    def node(self, i: int) -> NodeState:
-        if not 0 <= i < self.n:
-            raise ValueError(f"node id {i} out of range for n={self.n}")
-        mode, list_position, call_sequence = self._rules.node_fields(self._stack, self._base + i)
-        informed_at = int(self._informed_at[i])
-        informer = int(self._informer[i])
-        return NodeState(
-            id=i,
-            status=_STATUS_ENUM[self._status[i]],
-            mode=mode,
-            encounters=int(self._encounters[i]),
-            informed_at=None if informed_at < 0 else informed_at,
-            informer=None if informer < 0 else informer,
-            list_position=list_position,
-            call_sequence=call_sequence,
-        )
-
-    # -- internals ---------------------------------------------------------
-
     def _apply_crashes(self, upto_round: int) -> None:
         # Schedule nodes are distinct, so none of them is crashed yet.
         end = bisect.bisect_right(self._crash_rounds, upto_round, self._crash_ptr)
@@ -745,11 +647,6 @@ def init_simulation(
         allow_self_calls=allow_self_calls, keep_log=keep_log,
     )
     return state
-
-
-def is_complete(state: SimulationState) -> bool:
-    """True iff every non-crashed node has been informed."""
-    return state._live_uninformed == 0
 
 
 def _empty_round(state: SimulationState, executed_round: int) -> RoundReport:
@@ -905,7 +802,7 @@ def _run_worlds(worlds, max_rounds, execute) -> list[TraceSummary]:
     while live:
         running = []
         for world in live:
-            if is_complete(world):
+            if world._live_uninformed == 0:
                 summaries[world] = _summary(world, RUN_COMPLETED, world.round)
             elif world.round >= cap:
                 summaries[world] = _summary(world, RUN_CAPPED)

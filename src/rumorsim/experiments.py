@@ -30,14 +30,7 @@ from .core import (
     run,  # not called here; importable for callers that patch it by name
     run_stack,
 )
-from .protocols import (
-    LISTS_IDENTICAL,
-    FullyRandomPush,
-    Hybrid,
-    ProtocolSpec,
-    Quasirandom,
-    protocol_name,
-)
+from .protocols import Hybrid, ProtocolSpec, protocol_name
 
 TIMING_AT_START = "at_start"
 TIMING_UNIFORM_ROUND = "uniform_round"
@@ -363,7 +356,7 @@ def compare_protocols(
     )
     names = tuple(protocol_name(spec) for spec in specs)
     pairs = tuple(
-        _pairwise(specs, names, result.stats, a, b)
+        _pairwise(names, result.stats, a, b)
         for a in range(len(specs))
         for b in range(a + 1, len(specs))
     )
@@ -377,7 +370,7 @@ def compare_protocols(
     )
 
 
-def _pairwise(specs, names, stats, a: int, b: int) -> PairwiseComparison:
+def _pairwise(names, stats, a: int, b: int) -> PairwiseComparison:
     block_a = stats[a].completion_rounds
     block_b = stats[b].completion_rounds
     mean_a = None if block_a is None else block_a.mean
@@ -389,9 +382,10 @@ def _pairwise(specs, names, stats, a: int, b: int) -> PairwiseComparison:
         combined = math.hypot(block_a.std_error, block_b.std_error)
     flagged = False
     if diff is not None:
-        if _is_hybrid(specs[a]) and _is_identical_lists(specs[b]):
+        pair = (names[a], names[b])
+        if pair == ("hybrid", "quasirandom-identical"):
             flagged = diff > 3 * combined
-        elif _is_hybrid(specs[b]) and _is_identical_lists(specs[a]):
+        elif pair == ("quasirandom-identical", "hybrid"):
             flagged = -diff > 3 * combined
     return PairwiseComparison(
         index_a=a,
@@ -404,14 +398,6 @@ def _pairwise(specs, names, stats, a: int, b: int) -> PairwiseComparison:
         combined_std_error=combined,
         dominance_flagged=flagged,
     )
-
-
-def _is_hybrid(spec: ProtocolSpec) -> bool:
-    return isinstance(spec, Hybrid)
-
-
-def _is_identical_lists(spec: ProtocolSpec) -> bool:
-    return isinstance(spec, Quasirandom) and spec.lists == LISTS_IDENTICAL
 
 
 @dataclass(frozen=True)
@@ -449,7 +435,7 @@ def validate_bounds(
     otherwise the batch is run here.  The upper bound uses
     ``default_round_slack``.
     """
-    if not isinstance(config.spec, Hybrid):
+    if config.spec.name != Hybrid.name:
         raise ValueError("bound validation applies to the hybrid protocol")
     if stats is None:
         stats = run_trials(config)
@@ -488,7 +474,7 @@ class SweepCell:
 
     @property
     def stop_budget(self) -> int | None:
-        return self.spec.stop_budget if isinstance(self.spec, Hybrid) else None
+        return self.spec.stop_budget
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ protocol-independent replay checks (round, serial) order, node ids, caller
 eligibility (informed earlier, one call per round, not after a crash),
 outcomes against the replayed informed set, the crash schedule and
 per-round doubling, and groups the calls by caller.  Given a spec, that
-protocol's rules then check each caller's calls: kinds, walk chaining,
-the hybrid encounter budget and the list order.  With ``no_crashes=True``
-any crashed-target outcome is a violation and the identical-lists
-uselessness property is checked too.  The verifier shares no rules with
+protocol's rules (``_CALLER_RULES``, by the spec's ``name``) then check
+each caller's calls: kinds, walk chaining, the hybrid encounter budget and
+the list order.  With ``no_crashes=True`` any crashed-target outcome is a
+violation and the identical-lists uselessness property is checked too.  The verifier shares no rules with
 the simulation kernel.
 
 The replay is columnar: it reads a ``CallLog``'s ``columns`` (any other
@@ -29,13 +29,12 @@ formatted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .core import CallKind, CallOutcome, CallRecord, TraceSummary
-from .protocols import LISTS_IDENTICAL, FullyRandomPush, Hybrid, ProtocolSpec, Quasirandom
+from .protocols import ProtocolSpec
 
 # A kind or outcome column holds each member's index in its enum's
 # declaration order.
@@ -126,10 +125,9 @@ def verify_trace(
 
     found, by_caller = _replay(columns, n, start, crash_schedule, no_crashes)
     violations = found.first(max_violations)
-    check_callers = _caller_rules(spec)
-    if check_callers is not None and len(violations) < max_violations:
+    if spec is not None and len(violations) < max_violations:
         found = _Found()
-        check_callers(found, _CallerSegments(columns, *by_caller), n, start)
+        _CALLER_RULES[spec.name](found, _CallerSegments(columns, *by_caller), n, start, spec)
         violations += found.first(max_violations - len(violations))
     return VerificationReport(m, n, start, tuple(violations))
 
@@ -370,21 +368,12 @@ class _CallerSegments:
         found.add(template, self.fields, firsts, self.rank[firsts], phase, 0, 0)
 
 
-def _caller_rules(spec):
-    """The protocol's per-caller checks; the one place that reads the spec type."""
-    if isinstance(spec, Hybrid):
-        return partial(_check_hybrid, budget=spec.stop_budget)
-    if isinstance(spec, Quasirandom) and spec.lists == LISTS_IDENTICAL:
-        return _check_identical
-    if isinstance(spec, Quasirandom):
-        return _check_independent
-    if isinstance(spec, FullyRandomPush):
-        return partial(_check_kinds, kind=RANDOM, walker="fully-random")
-    return None
-
-
-def _check_kinds(found, calls, n, start, *, kind, walker) -> None:
+def _check_kinds(found, calls, kind, walker) -> None:
     calls.flag(found, "{where}: " + walker + " caller places a {kind} call", calls.kind != kind, 0)
+
+
+def _check_push(found, calls, n, start, spec) -> None:
+    _check_kinds(found, calls, RANDOM, "fully-random")
 
 
 def _successor(targets: np.ndarray, n: int) -> np.ndarray:
@@ -405,13 +394,14 @@ def _check_walk(found, calls, steps, n) -> None:
     )
 
 
-def _check_hybrid(found, calls, n, start, *, budget) -> None:
+def _check_hybrid(found, calls, n, start, spec) -> None:
     # The start walks initial-successor calls until its first encounter;
     # everyone else opens with a random call; informing switches the caller
     # to a sequential walk from the target's successor; an encounter forces
     # a random restart; a crashed target is walked past.  A caller stops for
     # good after its budget of encounters; the start gets one more.
     kind, outcome, first = calls.kind, calls.outcome, calls.first
+    budget = spec.stop_budget
     is_start = calls.is_node(calls.caller, start)
     encounters = calls.count_before(outcome == ALREADY_INFORMED)
     stopped = encounters >= budget + is_start
@@ -440,11 +430,11 @@ def _check_hybrid(found, calls, n, start, *, budget) -> None:
     _check_walk(found, calls, steps, n)
 
 
-def _check_identical(found, calls, n, start) -> None:
+def _check_identical(found, calls, n, start, spec) -> None:
     # Every caller walks the shared cyclic order.  Without crashes, a caller
     # that meets a node informed in an earlier round, other than the start,
     # walks an informed stretch from then on and never informs again.
-    _check_kinds(found, calls, n, start, kind=SEQUENTIAL, walker="list-walking")
+    _check_kinds(found, calls, SEQUENTIAL, "list-walking")
     _check_walk(found, calls, ~calls.first, n)
     if calls.target_informed_round is None:
         return
@@ -458,10 +448,10 @@ def _check_identical(found, calls, n, start) -> None:
                (calls.outcome == INFORMED) & (calls.count_before(met) > 0), 2)
 
 
-def _check_independent(found, calls, n, start) -> None:
+def _check_independent(found, calls, n, start, spec) -> None:
     # Each caller walks its own cyclic permutation: the first n targets are
     # distinct, and from then on the sequence repeats with period n.
-    _check_kinds(found, calls, n, start, kind=SEQUENTIAL, walker="list-walking")
+    _check_kinds(found, calls, SEQUENTIAL, "list-walking")
     lap = min(n, _INT64_MAX)
     first_lap = np.flatnonzero(calls.index < lap)
     order = first_lap[np.lexsort((calls.target[first_lap], calls.segment[first_lap]))]
@@ -474,6 +464,16 @@ def _check_independent(found, calls, n, start) -> None:
     later = np.flatnonzero(calls.index >= lap)
     calls.flag_callers(found, "caller {caller}: list does not repeat cyclically",
                        later[calls.target[later] != calls.target[later - lap]], 2)
+
+
+# Each protocol's per-caller checks, by name; of the spec they read only
+# the stop budget.
+_CALLER_RULES = {
+    "hybrid": _check_hybrid,
+    "quasirandom-identical": _check_identical,
+    "quasirandom-independent": _check_independent,
+    "push": _check_push,
+}
 
 
 def verify_summary_against_trace(

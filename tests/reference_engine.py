@@ -15,7 +15,7 @@ it does not share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,9 @@ from rumorsim.core import (
     _Calls,
     _empty_round,
 )
-from rumorsim.protocols import LISTS_IDENTICAL, LISTS_INDEPENDENT, Hybrid, Quasirandom
+
+# The list-walking protocols, by name.
+LISTS = ("quasirandom-identical", "quasirandom-independent")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ def collect_intents(state: SimulationState) -> list[CallIntent]:
     callers = np.nonzero(state._status == _INFORMED)[0]
     if len(callers) == 0:
         return []
-    spec = state.spec
-    if isinstance(spec, Quasirandom) and spec.lists == LISTS_INDEPENDENT:
+    if state.spec.name == "quasirandom-independent":
         return [
             CallIntent(caller, independent_list_target(state, caller), CallKind.SEQUENTIAL)
             for caller in callers.tolist()
@@ -82,23 +83,12 @@ def reference_drawn(state: SimulationState) -> dict[int, list[int]]:
     return state.__dict__.setdefault("reference_drawn", {})
 
 
-def reference_node(state: SimulationState, i: int):
-    """``state.node(i)``, with an independent-list node's call sequence taken
-    from ``reference_drawn``."""
-    node = state.node(i)
-    if node.call_sequence is None:
-        return node
-    return replace(node, call_sequence=tuple(reference_drawn(state).get(i, ())))
-
-
 def independent_list_target(state: SimulationState, caller: int) -> int:
     """The caller's next list entry: a fresh uniformly random node its list
-    does not hold yet, or, once the list holds all n nodes, the entry at
-    its call index modulo n."""
+    does not hold yet.  A run never draws from a full list: a caller that
+    has called all n nodes has informed every live one."""
     drawn = reference_drawn(state).setdefault(caller, [])
-    idx = int(state._rules.list_index[state._base + caller])
-    if len(drawn) == state.n:
-        return drawn[idx % state.n]
+    assert len(drawn) < state.n, "a full list has no entry left to draw"
     while True:
         candidate = int(state.rng.integers(0, state.n))
         if candidate not in drawn:
@@ -108,7 +98,7 @@ def independent_list_target(state: SimulationState, caller: int) -> int:
 
 
 def _advance_list_caller(state: SimulationState, caller: int, target: int) -> None:
-    if state.spec.lists == LISTS_IDENTICAL:
+    if state.spec.name == "quasirandom-identical":
         state._next_target[caller] = (target + 1) % state.n
     else:
         state._rules.list_index[state._base + caller] += 1
@@ -140,11 +130,11 @@ def apply_call(
     if target_status == _CRASHED:
         outcome = _O_CRASHED
         state.crashed_target_calls += 1
-        if isinstance(spec, Hybrid):
+        if spec.name == "hybrid":
             if state._mode[caller] == _M_SEQ:
                 state._next_target[caller] = (target + 1) % state.n
             # PendingRandom callers stay pending and redraw next round.
-        elif isinstance(spec, Quasirandom):
+        elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
     elif target_status == _UNINFORMED:
         outcome = _O_INFORMED
@@ -154,13 +144,13 @@ def apply_call(
         state._informer[target] = caller
         state.ever_informed_count += 1
         state._live_uninformed -= 1
-        if isinstance(spec, Hybrid):
+        if spec.name == "hybrid":
             # A freshly informed node opens with a random call; only the
             # starting node begins on its own successor run.
             state._mode[target] = _M_PENDING
             state._mode[caller] = _M_SEQ
             state._next_target[caller] = (target + 1) % state.n
-        elif isinstance(spec, Quasirandom):
+        elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
             # The target picks its own list position at its first call.
         else:
@@ -168,7 +158,7 @@ def apply_call(
     else:
         outcome = _O_ALREADY
         state.encounter_calls += 1
-        if isinstance(spec, Hybrid):
+        if spec.name == "hybrid":
             state._encounters[caller] += 1
             if state._encounters[caller] >= _budget_limit(state, caller):
                 state._status[caller] = _STOPPED
@@ -177,7 +167,7 @@ def apply_call(
             else:
                 state._mode[caller] = _M_PENDING
                 state._next_target[caller] = -1
-        elif isinstance(spec, Quasirandom):
+        elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
 
     record = CallRecord(

@@ -15,26 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim.core import (
+    _CRASHED,
+    _INFORMED,
+    _M_PENDING,
+    _M_SEQ,
     _NO_SERIAL,
-    _Calls,
+    _STOPPED,
+    _UNINFORMED,
     _IndependentListRules,
     CallKind,
     CallOutcome,
-    NodeStatus,
-    PendingRandom,
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
-    Sequential,
     default_round_cap,
     execute_round,
     init_simulation,
     init_stack,
-    is_complete,
     run,
     run_stack,
-    successor,
 )
+from rumorsim.experiments import CrashModel, generate_crash_schedule
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
@@ -43,10 +44,8 @@ from reference_engine import (
     apply_call,
     collect_intents,
     execute_round_reference,
-    independent_list_target,
     reference_drawn,
     reference_log,
-    reference_node,
 )
 
 ALL_SPECS = [
@@ -65,44 +64,28 @@ def as_tuples(records):
     ]
 
 
-# ---------------------------------------------------------------- successor
-
-
-def test_successor_direct():
-    assert successor(3, 10) == 4
-
-
-def test_successor_wraps():
-    assert successor(9, 10) == 0
-
-
-def test_successor_single_node():
-    assert successor(0, 1) == 0
-
-
-@pytest.mark.parametrize("i, n", [(-1, 4), (4, 4), (0, 0)])
-def test_successor_rejects_out_of_range(i, n):
-    with pytest.raises(ValueError):
-        successor(i, n)
-
-
 # ----------------------------------------------------------- init_simulation
 
 
 def test_init_hybrid_start_walks_own_successor():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
-    node = state.node(0)
-    assert node.status == NodeStatus.INFORMED
-    assert node.mode == Sequential(1)
-    assert node.informed_at == 0 and node.informer is None
+    assert state._status[0] == _INFORMED
+    assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 1)
+    assert (state._informed_at[0], state._informer[0]) == (0, -1)
     assert state.total_calls == 0
     assert state.informing_calls == 0
-    assert all(state.node(i).status == NodeStatus.UNINFORMED for i in range(1, 4))
+    assert (state._status[1:] == _UNINFORMED).all()
+
+
+def test_init_hybrid_start_walk_wraps():
+    state = init_simulation(Hybrid(1), 4, 3, seed=7)
+    assert (state._mode[3], state._next_target[3]) == (_M_SEQ, 0)
 
 
 def test_init_single_node_already_complete():
     state = init_simulation(Hybrid(3), 1, 0, seed=7)
-    assert is_complete(state)
+    assert state._live_uninformed == 0
+    assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 0)
     summary = run(state)
     assert summary.outcome == RUN_COMPLETED
     assert summary.completion_round == 0
@@ -111,15 +94,13 @@ def test_init_single_node_already_complete():
 
 def test_init_push_start_has_no_sequential_mode():
     state = init_simulation(FullyRandomPush(), 4, 2, seed=7)
-    node = state.node(2)
-    assert node.status == NodeStatus.INFORMED
-    assert not isinstance(node.mode, Sequential)
+    assert state._status[2] == _INFORMED
+    assert state._mode[2] == _M_PENDING
 
 
 def test_init_quasirandom_start_gets_a_list_position():
     state = init_simulation(Quasirandom("identical"), 16, 0, seed=7)
-    position = state.node(0).list_position
-    assert position is not None and 0 <= position < 16
+    assert 0 <= state._next_target[0] < 16
 
 
 def test_init_rejects_bad_arguments():
@@ -149,7 +130,8 @@ def test_init_rejects_crashed_start_or_negative_round():
 def test_init_same_seed_same_state():
     a = init_simulation(Quasirandom("identical"), 32, 0, seed=123)
     b = init_simulation(Quasirandom("identical"), 32, 0, seed=123)
-    assert [a.node(i) for i in range(32)] == [b.node(i) for i in range(32)]
+    for name in NODE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # ------------------------------------------------------------ collect_intents
@@ -167,13 +149,13 @@ def test_node_informed_this_round_makes_no_call_yet():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     report = execute_round(state)
     assert report.calls_made == 1
-    assert state.node(1).informed_at == 1
+    assert state._informed_at[1] == 1
 
 
 def test_sequential_mode_targets_the_stored_successor():
     state = init_simulation(Hybrid(2), 8, 0, seed=7)
     apply_call(state, CallIntent(0, 4, CallKind.RANDOM), 0)
-    assert state.node(0).mode == Sequential(5)
+    assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 5)
 
 
 # ----------------------------------------------------------------- apply_call
@@ -184,10 +166,9 @@ def test_apply_call_informs_and_advances_walk():
     record = apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 0)
     assert record.outcome == CallOutcome.INFORMED
     assert record.round == 1
-    target = state.node(3)
-    assert target.status == NodeStatus.INFORMED
-    assert target.informed_at == 1 and target.informer == 0
-    assert state.node(0).mode == Sequential(4)
+    assert state._status[3] == _INFORMED
+    assert (state._informed_at[3], state._informer[3]) == (1, 0)
+    assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 4)
     assert (state.total_calls, state.informing_calls) == (1, 1)
 
 
@@ -196,50 +177,45 @@ def test_apply_call_final_encounter_stops_the_caller():
     apply_call(state, CallIntent(0, 2, CallKind.SEQUENTIAL), 0)
     record = apply_call(state, CallIntent(2, 0, CallKind.RANDOM), 1)
     assert record.outcome == CallOutcome.ALREADY_INFORMED
-    assert state.node(2).status == NodeStatus.STOPPED
-    assert state.node(2).encounters == 1
+    assert state._status[2] == _STOPPED
+    assert state._encounters[2] == 1
 
 
 def test_apply_call_encounter_below_budget_restarts_randomly():
     state = init_simulation(Hybrid(3), 4, 0, seed=7)
     apply_call(state, CallIntent(0, 2, CallKind.SEQUENTIAL), 0)
     apply_call(state, CallIntent(2, 0, CallKind.RANDOM), 1)
-    node = state.node(2)
-    assert node.status == NodeStatus.INFORMED
-    assert node.encounters == 1
-    assert node.mode == PendingRandom()
+    assert state._status[2] == _INFORMED
+    assert state._encounters[2] == 1
+    assert (state._mode[2], state._next_target[2]) == (_M_PENDING, -1)
 
 
 def test_apply_call_start_budget_is_one_higher():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     apply_call(state, CallIntent(0, 0, CallKind.RANDOM), 0)
-    assert state.node(0).status == NodeStatus.INFORMED
-    assert state.node(0).encounters == 1
+    assert (state._status[0], state._encounters[0]) == (_INFORMED, 1)
     apply_call(state, CallIntent(0, 0, CallKind.RANDOM), 1)
-    assert state.node(0).status == NodeStatus.STOPPED
-    assert state.node(0).encounters == 2
+    assert (state._status[0], state._encounters[0]) == (_STOPPED, 2)
 
 
 def test_apply_call_crashed_target_costs_no_budget():
     state = init_simulation(Hybrid(1), 6, 0, seed=7, crash_schedule={3: 0})
     execute_round(state)  # applies the scheduled crash, then round 1
-    assert state.node(3).status == NodeStatus.CRASHED
+    assert state._status[3] == _CRASHED
     record = apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 0)
     assert record.outcome == CallOutcome.CRASHED_TARGET
-    caller = state.node(0)
-    assert caller.encounters == 0
-    assert caller.mode == Sequential(4)
+    assert state._encounters[0] == 0
+    assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 4)
     assert state.crashed_target_calls == 1
 
 
 def test_quasirandom_encounter_changes_no_caller_state():
     state = init_simulation(Quasirandom("identical"), 8, 0, seed=7)
     apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 0)
-    before = state.node(0)
+    before = [getattr(state, name)[0] for name in NODE_ARRAYS]
     apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 1)
-    after = state.node(0)
-    assert after.status == NodeStatus.INFORMED
-    assert after.encounters == before.encounters
+    assert [getattr(state, name)[0] for name in NODE_ARRAYS] == before
+    assert state._status[0] == _INFORMED
     assert state.encounter_calls == 1
 
 
@@ -307,8 +283,8 @@ def test_golden_tie_random_caller_wins():
 def test_two_nodes_complete_in_one_forced_call():
     state = init_simulation(Hybrid(1), 2, 0, seed=7, keep_log=True)
     execute_round(state)
-    assert state.node(1).informed_at == 1
-    assert is_complete(state)
+    assert state._informed_at[1] == 1
+    assert state._live_uninformed == 0
     assert as_tuples(state.log) == [(1, 0, 1, "initial_successor", "informed", 0)]
 
 
@@ -369,20 +345,20 @@ def test_run_deterministic_trace_at_fixed_seed():
     assert log_a == log_b
 
 
-# ---------------------------------------------------------------- is_complete
+# ----------------------------------------------------------------- completion
 
 
 def test_completion_excludes_crashed_nodes():
     state = init_simulation(Hybrid(2), 3, 0, seed=7, crash_schedule={2: 0})
     summary = run(state)
     assert summary.outcome == RUN_COMPLETED
-    assert state.node(2).status == NodeStatus.CRASHED
-    assert state.node(1).status in (NodeStatus.INFORMED, NodeStatus.STOPPED)
+    assert state._status[2] == _CRASHED
+    assert state._status[1] in (_INFORMED, _STOPPED)
 
 
 def test_not_complete_with_live_uninformed_node():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
-    assert not is_complete(state)
+    assert state._live_uninformed == 3
 
 
 # ---------------------------------------------- whole-run invariant batteries
@@ -444,7 +420,7 @@ def test_hybrid_call_cap(budget, n):
 def test_quasirandom_runs_never_stop_nodes():
     for lists in ("identical", "independent"):
         state, _ = run_logged(Quasirandom(lists), 32, 5)
-        assert all(state.node(i).status != NodeStatus.STOPPED for i in range(32))
+        assert not (state._status == _STOPPED).any()
 
 
 def test_doubling_bound_is_attained():
@@ -488,21 +464,9 @@ def test_vectorized_round_matches_reference_engine(spec):
         if crashes:
             schedule = crash_schedule_for(48, seed)
             schedule.pop(start, None)
-        states = [
-            init_simulation(
-                spec, 48, start, seed=seed, crash_schedule=schedule,
-                allow_self_calls=allow_self_calls, keep_log=True,
-            )
-            for _ in range(2)
-        ]
-        fast = run(states[0])
-        ref = run(states[1], round_engine=execute_round_reference)
-        assert fast == ref
-        assert list(states[0].log) == reference_log(states[1])
-        assert [states[0].node(i) for i in range(48)] == [
-            reference_node(states[1], i) for i in range(48)
-        ]
-        assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+        assert_kernel_matches_reference(
+            spec, 48, seed, start, crash_schedule=schedule, allow_self_calls=allow_self_calls
+        )
 
 
 def execute_round_leaving_clean_scratch(state):
@@ -561,9 +525,10 @@ def assert_kernel_matches_reference(spec, n, seed, start=0, **options):
     assert list(states[0].log) == reference_log(states[1])
     for name in NODE_ARRAYS:
         assert np.array_equal(getattr(states[0], name), getattr(states[1], name)), name
-    if isinstance(spec, Quasirandom) and spec.lists == "independent":
+    if spec.name == "quasirandom-independent":
         assert_same_independent_lists(states[0], states[1])
     assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+    return states[0]
 
 
 @st.composite
@@ -599,9 +564,8 @@ def test_property_stacked_worlds_match_worlds_run_alone(config):
         for name in NODE_ARRAYS:
             assert np.array_equal(getattr(world, name), getattr(alone, name)), name
             assert np.array_equal(getattr(world, name), getattr(reference, name)), name
-        nodes = [world.node(i) for i in range(n)]
-        assert nodes == [alone.node(i) for i in range(n)]
-        assert nodes == [reference_node(reference, i) for i in range(n)]
+        if spec.name == "quasirandom-independent":
+            assert_same_independent_lists(world, reference)
         assert world.rng.bit_generator.state == alone.rng.bit_generator.state
         assert world.rng.bit_generator.state == reference.rng.bit_generator.state
 
@@ -619,11 +583,15 @@ def test_shuffled_slices_draw_permutations():
 
 
 def assert_same_independent_lists(kernel_state, reference_state):
-    rules = kernel_state._rules
-    assert np.array_equal(rules.list_index, reference_state._rules.list_index)
-    drawn = reference_drawn(reference_state)
-    for i in range(kernel_state.n):
-        assert rules.prefix(i).tolist() == drawn.get(i, []), i
+    # The kernel state may be one world of a stack: its nodes are the
+    # stack's entries from its base on.
+    n, base = kernel_state.n, kernel_state._base
+    list_index = kernel_state._rules.list_index[base : base + n]
+    drawn = kernel_state._rules.drawn[base : base + n]
+    assert np.array_equal(list_index, reference_state._rules.list_index)
+    lists = reference_drawn(reference_state)
+    for i in range(n):
+        assert drawn[i, : min(list_index[i], n)].tolist() == lists.get(i, []), i
 
 
 # ----------------------------------------- independent lists' block draw
@@ -658,28 +626,31 @@ def test_independent_lists_small_chunks_match_reference(chunk, monkeypatch):
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_independent_lists_laps_match_reference(n):
-    # A run completes before any list is full (a node that has called all
-    # n nodes has informed them), so drive the draw directly: a random
-    # subset of the nodes calls each round, up to several laps each.
-    kernel, reference = (
-        init_simulation(Quasirandom("independent"), n, seed=n) for _ in range(2)
-    )
-    pick = np.random.default_rng(99)
-    for _ in range(6 * n):
-        callers = np.flatnonzero(pick.random(n) < 0.7)
-        if len(callers) == 0:
-            continue
-        calls = _Calls(kernel._stack, [kernel], [0, len(callers)], callers)
-        targets, _ = kernel._rules.draw(kernel._stack, calls)
-        kernel._rules.settle(kernel._stack, calls, targets, None, None, None, None)
-        expected = [independent_list_target(reference, c) for c in callers.tolist()]
-        reference._rules.list_index[callers] += 1
-        assert targets.tolist() == expected
-    assert kernel._rules.list_index.max() >= 3 * n
-    assert_same_independent_lists(kernel, reference)
-    assert kernel.rng.bit_generator.state == reference.rng.bit_generator.state
+@pytest.mark.parametrize("n", range(1, 9))
+def test_independent_lists_are_never_drawn_past_full(n):
+    # A node whose list holds all n entries has called every node, so its
+    # world is complete before it could call again: every run ends with no
+    # list index above n, as the reference engine runs it too.
+    crashes = [None, CrashModel(0.3, "at_start"), CrashModel(0.6, "at_start"),
+               CrashModel(0.6, "uniform_round", max_round=6)]
+    for seed, crash, allow_self_calls in itertools.product(range(12), crashes, (True, False)):
+        rng = np.random.default_rng(seed)
+        schedule = None if crash is None else generate_crash_schedule(n, crash, rng)
+        state = assert_kernel_matches_reference(
+            Quasirandom("independent"), n, seed, crash_schedule=schedule,
+            allow_self_calls=allow_self_calls or n == 1,
+        )
+        assert state._rules.list_index.max() <= n
+
+
+def test_full_independent_list_is_not_drawn_from():
+    # Forcing a draw from a full list raises instead of serving a lap.
+    state = init_simulation(Quasirandom("independent"), 3, seed=1, keep_log=True)
+    run(state)
+    state._rules.list_index[0] = 3
+    state._live_uninformed = 1
+    with pytest.raises(IndexError):
+        execute_round(state)
 
 
 def test_round_allocates_no_per_node_array():

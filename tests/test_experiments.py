@@ -307,9 +307,10 @@ def test_compare_pairwise_fields():
 
 
 def test_validate_bounds_rejects_non_hybrid():
-    config = ExperimentConfig(spec=FullyRandomPush(), n=64, trials=3, master_seed=1)
-    with pytest.raises(ValueError):
-        validate_bounds(config)
+    for spec in (FullyRandomPush(), Quasirandom("identical"), Quasirandom("independent")):
+        config = ExperimentConfig(spec=spec, n=64, trials=3, master_seed=1)
+        with pytest.raises(ValueError, match="^bound validation applies to the hybrid protocol$"):
+            validate_bounds(config)
 
 
 def test_validate_bounds_report_fields():

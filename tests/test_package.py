@@ -5,7 +5,9 @@ import importlib.util
 import pathlib
 
 import rumorsim
+import rumorsim.core
 import rumorsim.verify
+from rumorsim.protocols import PROTOCOL_NAMES, protocol_from_name
 
 
 def test_all_names_resolve_and_are_unique():
@@ -25,6 +27,36 @@ def test_verifier_imports_only_record_types_from_the_kernel():
         if isinstance(node, ast.Import):
             assert all(alias.name != "rumorsim.core" for alias in node.names)
     assert from_core == {"CallKind", "CallOutcome", "CallRecord", "TraceSummary"}
+
+
+def test_protocol_tables_agree():
+    # A protocol lives in the spec table, the kernel's rules table and the
+    # verifier's rules table; one added to a single layer fails here.
+    assert set(rumorsim.core._RULES) == set(PROTOCOL_NAMES)
+    assert set(rumorsim.verify._CALLER_RULES) == set(PROTOCOL_NAMES)
+    for name in PROTOCOL_NAMES:
+        assert protocol_from_name(name, 2 if name == "hybrid" else None).name == name
+
+
+SPEC_TYPES = {"Hybrid", "Quasirandom", "FullyRandomPush", "ProtocolSpec"}
+
+
+def test_only_protocols_dispatches_on_spec_types():
+    # Every other layer picks a protocol's rules by the spec's name.
+    offenders = []
+    for path in sorted(pathlib.Path(rumorsim.__file__).parent.glob("*.py")):
+        if path.name == "protocols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node.args[1])
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if names & SPEC_TYPES:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_sources_parse_as_python_3_10():
