@@ -34,7 +34,6 @@ from .core import (
     CallLog,
     CallOutcome,
     CallRecord,
-    RoundReport,
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
@@ -88,7 +87,6 @@ __all__ = [
     "Hybrid",
     "ProtocolSpec",
     "Quasirandom",
-    "RoundReport",
     "RUN_CAPPED",
     "RUN_COMPLETED",
     "RUN_STALLED",

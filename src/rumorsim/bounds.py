@@ -40,8 +40,8 @@ def _check_n(n: float) -> None:
 
 
 def _check_budget(stop_budget: float) -> None:
-    if stop_budget < 1:
-        raise ValueError(f"stop_budget must be >= 1, got {stop_budget}")
+    if not 1 <= stop_budget < math.inf:
+        raise ValueError(f"stop_budget must be finite and >= 1, got {stop_budget}")
 
 
 def budget_regime(n: float, stop_budget: float) -> str:
@@ -62,8 +62,8 @@ def upper_bound_rounds(n: float, stop_budget: float, epsilon: float) -> float:
     """
     _check_n(n)
     _check_budget(stop_budget)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     ln_n = math.log(n)
     if stop_budget <= math.sqrt(ln_n):
         return (

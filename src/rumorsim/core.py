@@ -183,15 +183,6 @@ class CallLog(Sequence):
 
 
 @dataclass(frozen=True)
-class RoundReport:
-    """What one executed round did."""
-
-    round: int
-    calls_made: int
-    stalled: bool
-
-
-@dataclass(frozen=True)
 class TraceSummary:
     """Per-run metrics; ``per_round_informed[t]`` counts nodes ever informed
     by the end of round ``t`` (crashing later does not un-inform a node)."""
@@ -285,8 +276,8 @@ def _random_targets(stack: _Stack, calls: _Calls, picked: np.ndarray | None = No
 class _Rules:
     """One protocol's rules; each stack holds exactly one.
 
-    The round kernel updates status, informed_at and informer itself and
-    leaves everything protocol-specific to these operations.
+    The round kernel updates status itself and leaves everything
+    protocol-specific to these operations.
     """
 
     def __init__(self, spec: ProtocolSpec, n: int, entries: int):
@@ -309,7 +300,6 @@ class _Rules:
         masks mark the informing, encounter and crashed-target calls.  Each
         caller calls once, so no update depends on the serial order.
         """
-        raise NotImplementedError
 
 
 class _HybridRules(_Rules):
@@ -363,11 +353,9 @@ class _HybridRules(_Rules):
         found[found] = ac[at[found]] == calls.starts[found]
         at = at[found]
         stop[at] = bumped[at] > self.stop_budget
-        stopped = ac[stop]
-        stack._status[stopped] = _STOPPED
+        stack._status[ac[stop]] = _STOPPED
+        # A stopped node never calls again; a pending one redraws its target.
         stack._mode[ac] = _M_PENDING
-        stack._mode[stopped] = _M_NONE
-        stack._next_target[ac] = -1
 
         # A crashed target costs no budget: walkers step past it, random
         # callers stay pending and redraw next round.
@@ -481,15 +469,9 @@ class _IndependentListRules(_Rules):
 class _PushRules(_Rules):
     """Classical push: every call goes to a fresh uniformly random target."""
 
-    def setup(self, state):
-        state._mode[state.start] = _M_PENDING
-
     def draw(self, stack, calls):
         kinds = np.full(len(calls.callers), _K_RANDOM, dtype=np.int8)
         return _random_targets(stack, calls), kinds
-
-    def settle(self, stack, calls, targets, entries, informed, already, crashed):
-        stack._mode[entries[informed]] = _M_PENDING
 
 
 # Each protocol's rules, by name.
@@ -507,8 +489,7 @@ _RULES = {
 class _Stack:
     """The per-node arrays of ``count`` worlds of one ``(spec, n, start,
     allow_self_calls)``: world ``w``'s node ``i`` is entry ``w * n + i``.
-    Entries that name a node (next targets, informers) hold its id in its
-    own world."""
+    Next targets hold a node's id in its own world."""
 
     def __init__(self, spec, n: int, start: int, allow_self_calls: bool, count: int):
         self.spec = spec
@@ -524,8 +505,6 @@ class _Stack:
         self._mode = np.zeros(size, dtype=np.int8)
         self._next_target = np.full(size, -1, dtype=np.int64)
         self._encounters = np.zeros(size, dtype=np.int64)
-        self._informed_at = np.full(size, -1, dtype=np.int64)
-        self._informer = np.full(size, -1, dtype=np.int64)
         # The round kernel's first-writer scratch; all sentinel between rounds.
         self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int64)
 
@@ -549,7 +528,6 @@ class SimulationState:
         self.spec = stack.spec
         self.n = n
         self.start = start
-        self.allow_self_calls = stack.allow_self_calls
         self.rng = np.random.default_rng(seed)
         self.round = 0
 
@@ -571,8 +549,6 @@ class SimulationState:
         self._mode = stack._mode[nodes]
         self._next_target = stack._next_target[nodes]
         self._encounters = stack._encounters[nodes]
-        self._informed_at = stack._informed_at[nodes]
-        self._informer = stack._informer[nodes]
         self._first_serial = stack._first_serial[nodes]
 
         self.total_calls = 0
@@ -581,8 +557,6 @@ class SimulationState:
         self.crashed_target_calls = 0
 
         self._status[start] = _INFORMED
-        self._informed_at[start] = 0
-        self.ever_informed_count = 1
         self._live_uninformed = n - 1
         self.per_round_informed: list[int] = [1]
         self.log: CallLog | None = CallLog() if keep_log else None
@@ -597,12 +571,10 @@ class SimulationState:
         self._crash_ptr = end
         self._live_uninformed -= int(np.count_nonzero(self._status[nodes] == _UNINFORMED))
         self._status[nodes] = _CRASHED
-        self._mode[nodes] = _M_NONE
-        self._next_target[nodes] = -1
 
-    def _finish_round(self, executed_round: int) -> None:
+    def _finish_round(self, executed_round: int, informed: int) -> None:
         self.round = executed_round
-        self.per_round_informed.append(self.ever_informed_count)
+        self.per_round_informed.append(self.per_round_informed[-1] + informed)
 
 
 def init_stack(
@@ -649,10 +621,10 @@ def init_simulation(
     return state
 
 
-def _empty_round(state: SimulationState, executed_round: int) -> RoundReport:
-    stalled = state._live_uninformed > 0
-    state._finish_round(executed_round)
-    return RoundReport(executed_round, 0, stalled)
+def _empty_round(state: SimulationState, executed_round: int) -> bool:
+    """Close a round without calls; whether the world stalled."""
+    state._finish_round(executed_round, 0)
+    return state._live_uninformed > 0
 
 
 def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
@@ -693,7 +665,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         a, b = edges[world._index], edges[world._index + 1]
         if world._live_uninformed == 0 or a == b:
             # Crashes just completed the world, or no one is left to call.
-            stalled.append(_empty_round(world, executed_round).stalled)
+            stalled.append(_empty_round(world, executed_round))
         else:
             stalled.append(False)
             calling.append(world)
@@ -730,11 +702,8 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     informed_mask = np.zeros(k, dtype=bool)
     informed_mask[winners] = True
     already_mask = ~(informed_mask | crashed_mask)
-    new_targets = entries[winners]
 
-    stack._status[new_targets] = _INFORMED
-    stack._informed_at[new_targets] = executed_round
-    stack._informer[new_targets] = calls.caller_ids(winners)
+    stack._status[entries[winners]] = _INFORMED
     stack._rules.settle(
         stack, calls, targets, entries, informed_mask, already_mask, crashed_mask
     )
@@ -747,7 +716,6 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         world.informing_calls += informed
         world.encounter_calls += b - a - informed - crashed
         world.crashed_target_calls += crashed
-        world.ever_informed_count += informed
         world._live_uninformed -= informed
         if world.log is not None:
             if outcomes is None:
@@ -765,22 +733,22 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
                     np.arange(b - a, dtype=np.int64),
                 )
             )
-        world._finish_round(executed_round)
+        world._finish_round(executed_round, informed)
     return stalled
 
 
-def execute_round(state: SimulationState) -> RoundReport:
-    """Execute one synchronous round of one world (see ``_execute_rounds``)."""
-    calls_before = state.total_calls
+def execute_round(state: SimulationState) -> bool:
+    """Execute one synchronous round of one world (see ``_execute_rounds``);
+    whether it stalled."""
     (stalled,) = _execute_rounds([state])
-    return RoundReport(state.round, state.total_calls - calls_before, stalled)
+    return stalled
 
 
-def _summary(state: SimulationState, outcome: str, completion_round=None) -> TraceSummary:
+def _summary(state: SimulationState, outcome: str) -> TraceSummary:
     return TraceSummary(
         n=state.n,
         outcome=outcome,
-        completion_round=completion_round,
+        completion_round=state.round if outcome == RUN_COMPLETED else None,
         rounds_executed=state.round,
         total_calls=state.total_calls,
         informing_calls=state.informing_calls,
@@ -803,7 +771,7 @@ def _run_worlds(worlds, max_rounds, execute) -> list[TraceSummary]:
         running = []
         for world in live:
             if world._live_uninformed == 0:
-                summaries[world] = _summary(world, RUN_COMPLETED, world.round)
+                summaries[world] = _summary(world, RUN_COMPLETED)
             elif world.round >= cap:
                 summaries[world] = _summary(world, RUN_CAPPED)
             else:
@@ -838,6 +806,6 @@ def run(
     completion_round is absent on stall and cap outcomes.
     """
     (summary,) = _run_worlds(
-        [state], max_rounds, lambda live: [round_engine(world).stalled for world in live]
+        [state], max_rounds, lambda live: [round_engine(world) for world in live]
     )
     return summary

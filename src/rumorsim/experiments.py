@@ -282,8 +282,6 @@ def run_trials(config: ExperimentConfig) -> SampleStats:
 class PairwiseComparison:
     """Mean completion-round difference between two batch entries."""
 
-    index_a: int
-    index_b: int
     name_a: str
     name_b: str
     mean_a: float | None
@@ -388,8 +386,6 @@ def _pairwise(names, stats, a: int, b: int) -> PairwiseComparison:
         elif pair == ("quasirandom-identical", "hybrid"):
             flagged = -diff > 3 * combined
     return PairwiseComparison(
-        index_a=a,
-        index_b=b,
         name_a=names[a],
         name_b=names[b],
         mean_a=mean_a,

@@ -116,13 +116,14 @@ def json_value(value):
 
 def format_json(doc: dict) -> str:
     """One structured document, stable byte-for-byte."""
-    return json.dumps(json_value(doc), indent=2) + "\n"
+    return json.dumps(json_value(doc), indent=2, allow_nan=False) + "\n"
 
 
 def format_jsonl(docs: Iterable[dict]) -> str:
     """Line-delimited structured records."""
     return "".join(
-        json.dumps(json_value(doc), separators=(", ", ": ")) + "\n" for doc in docs
+        json.dumps(json_value(doc), separators=(", ", ": "), allow_nan=False) + "\n"
+        for doc in docs
     )
 
 

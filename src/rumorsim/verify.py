@@ -496,6 +496,17 @@ def verify_summary_against_trace(
         if value != by_outcome[outcome]:
             violations.append(f"{name} {value} != {by_outcome[outcome]} in trace")
 
+    completed = summary.outcome == "completed"
+    if (summary.completion_round is None) == completed:
+        violations.append(
+            f"completion_round {summary.completion_round} for a {summary.outcome} run"
+        )
+    elif completed and summary.completion_round != summary.rounds_executed:
+        violations.append(
+            f"completion_round {summary.completion_round} != rounds_executed "
+            f"{summary.rounds_executed}"
+        )
+
     prof = summary.per_round_informed
     if len(prof) != summary.rounds_executed + 1:
         violations.append(
@@ -530,12 +541,7 @@ def verify_summary_against_trace(
                 f"rounds_executed {summary.rounds_executed} below last trace "
                 f"round {last_round}"
             )
-        if (
-            summary.completion_round is not None
-            and summary.completion_round < last_round
-        ):
-            violations.append(
-                f"completion_round {summary.completion_round} below last trace "
-                f"round {last_round}"
-            )
+        top = int(max(columns.caller.max(), columns.target.max()))
+        if top >= summary.n:
+            violations.append(f"node id {top} in trace is not below n={summary.n}")
     return violations

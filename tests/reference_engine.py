@@ -23,7 +23,6 @@ from rumorsim.core import (
     _CRASHED,
     _INFORMED,
     _KIND_ENUM,
-    _M_NONE,
     _M_PENDING,
     _M_SEQ,
     _O_ALREADY,
@@ -35,7 +34,6 @@ from rumorsim.core import (
     CallKind,
     CallOutcome,
     CallRecord,
-    RoundReport,
     SimulationState,
     _Calls,
     _empty_round,
@@ -140,9 +138,6 @@ def apply_call(
         outcome = _O_INFORMED
         state.informing_calls += 1
         state._status[target] = _INFORMED
-        state._informed_at[target] = record_round
-        state._informer[target] = caller
-        state.ever_informed_count += 1
         state._live_uninformed -= 1
         if spec.name == "hybrid":
             # A freshly informed node opens with a random call; only the
@@ -153,20 +148,16 @@ def apply_call(
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
             # The target picks its own list position at its first call.
-        else:
-            state._mode[target] = _M_PENDING
     else:
         outcome = _O_ALREADY
         state.encounter_calls += 1
         if spec.name == "hybrid":
             state._encounters[caller] += 1
+            # The caller draws a fresh target next round, unless it stops:
+            # a stopped node never calls again.
+            state._mode[caller] = _M_PENDING
             if state._encounters[caller] >= _budget_limit(state, caller):
                 state._status[caller] = _STOPPED
-                state._mode[caller] = _M_NONE
-                state._next_target[caller] = -1
-            else:
-                state._mode[caller] = _M_PENDING
-                state._next_target[caller] = -1
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
 
@@ -189,9 +180,9 @@ def reference_log(state: SimulationState) -> list[CallRecord]:
     return state.__dict__.setdefault("reference_log", [])
 
 
-def execute_round_reference(state: SimulationState) -> RoundReport:
+def execute_round_reference(state: SimulationState) -> bool:
     """Per-call statement of ``core.execute_round``; usable as ``run``'s
-    ``round_engine``."""
+    ``round_engine``.  Returns whether the round stalled."""
     executed_round = state.round + 1
     state._apply_crashes(executed_round)
     if state._live_uninformed == 0:
@@ -201,7 +192,9 @@ def execute_round_reference(state: SimulationState) -> RoundReport:
     if k == 0:
         return _empty_round(state, executed_round)
     order = state.rng.permutation(k)
+    informed = 0
     for position, intent_index in enumerate(order):
-        apply_call(state, intents[int(intent_index)], position)
-    state._finish_round(executed_round)
-    return RoundReport(executed_round, k, False)
+        record = apply_call(state, intents[int(intent_index)], position)
+        informed += record.outcome is CallOutcome.INFORMED
+    state._finish_round(executed_round, informed)
+    return False

@@ -44,6 +44,16 @@ class TestUpperBoundRounds:
         got = upper_bound_rounds(n, 3, 0.0) - default_round_slack(n)
         assert got == pytest.approx(small)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_budget_or_epsilon(self, value):
+        with pytest.raises(ValueError, match="stop_budget must be finite"):
+            upper_bound_rounds(16, value, 0.1)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            upper_bound_rounds(16, 2, value)
+        for evaluate in (budget_regime, max_total_calls, bounds_report):
+            with pytest.raises(ValueError, match="stop_budget must be finite"):
+                evaluate(16, value)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             upper_bound_rounds(1024, 0, 0.1)

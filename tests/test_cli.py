@@ -292,6 +292,20 @@ def test_bounds_rejects_bad_epsilon(capsys):
     assert run_cli("bounds") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--R", "nan", "stop_budget must be finite and >= 1, got nan"),
+    ("--R", "inf", "stop_budget must be finite and >= 1, got inf"),
+    ("--epsilon", "nan", "epsilon must be finite and >= 0, got nan"),
+    ("--epsilon", "inf", "epsilon must be finite and >= 0, got inf"),
+])
+def test_bounds_rejects_non_finite_values(flag, value, message, capsys):
+    # NaN and Infinity are not JSON, so no report may carry them.
+    assert run_cli("bounds", "--n", "16", flag, value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bounds_accepts_real_budget(capsys):
     assert run_cli("bounds", "--n", "1024", "--R", "2.5") == EXIT_OK
     assert out_json(capsys)["stop_budget"] == 2.5
@@ -357,6 +371,13 @@ def test_sweep_empty_grid_is_usage_error(capsys):
     assert run_cli("sweep", "--trials", "5", "--seed", "1") == EXIT_USAGE
     assert run_cli("sweep", "--n-list", "32", "--trials", "5",
                    "--seed", "1") == EXIT_USAGE
+
+
+def test_sweep_rejects_a_non_integer_size(capsys):
+    assert run_cli("sweep", "--n-list", "16,x") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected comma-separated integers, got '16,x'" in captured.err
 
 
 def test_sweep_hybrid_in_protocols_rejected(capsys):
@@ -438,6 +459,45 @@ def test_trace_rejects_summary_with_fractional_counts(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad summary document: " in captured.err
+
+
+def rewritten_summary_violations(tmp_path, capsys, run_flags, **changes):
+    """``trace --summary``'s violations for a run's own trace and its
+    summary with ``changes`` applied; the unchanged summary passes."""
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert run_cli("simulate", *run_flags, "--trace-out", str(trace),
+                   "--summary-out", str(summary)) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_OK
+    capsys.readouterr()
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), **changes}))
+    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_VIOLATION
+    return out_json(capsys)["violations"]
+
+
+def test_trace_summary_of_a_stall_with_a_completion_round_fails(tmp_path, capsys):
+    violations = rewritten_summary_violations(
+        tmp_path, capsys, ["--n", "8", "--seed", "3"], outcome="stalled"
+    )
+    assert violations == ["completion_round 4 for a stalled run"]
+
+
+def test_trace_summary_of_a_completion_without_its_round_fails(tmp_path, capsys):
+    violations = rewritten_summary_violations(
+        tmp_path, capsys, ["--n", "8", "--seed", "3"], completion_round=None
+    )
+    assert violations == ["completion_round None for a completed run"]
+
+
+def test_trace_summary_with_n_below_a_traced_node_fails(tmp_path, capsys):
+    # Half the nodes crash at the start, so the informed counts stay
+    # below 50 and only the node ids contradict the summary's n.
+    violations = rewritten_summary_violations(
+        tmp_path, capsys,
+        ["--n", "64", "--seed", "3", "--rho", "0.5", "--crash-timing", "at_start"],
+        n=50,
+    )
+    assert violations == ["node id 63 in trace is not below n=50"]
 
 
 def test_trace_rejects_summary_with_negative_rounds(tmp_path, capsys):
@@ -551,6 +611,15 @@ def test_flags_override_config(tmp_path, capsys):
     config.write_text(json.dumps({"n": 128, "R": 2, "seed": 11}))
     run_cli("simulate", "--config", str(config), "--n", "64")
     assert out_json(capsys)["n"] == 64
+
+
+def test_config_null_protocol_runs_the_default_hybrid(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"n": 64, "seed": 11, "protocol": None}))
+    assert run_cli("simulate", "--config", str(config)) == EXIT_OK
+    from_config = capsys.readouterr().out
+    assert run_cli("simulate", "--n", "64", "--seed", "11", "--protocol", "hybrid") == EXIT_OK
+    assert from_config == capsys.readouterr().out
 
 
 def test_config_rejects_unknown_keys(tmp_path):

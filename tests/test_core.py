@@ -71,7 +71,7 @@ def test_init_hybrid_start_walks_own_successor():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     assert state._status[0] == _INFORMED
     assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 1)
-    assert (state._informed_at[0], state._informer[0]) == (0, -1)
+    assert state.per_round_informed == [1]
     assert state.total_calls == 0
     assert state.informing_calls == 0
     assert (state._status[1:] == _UNINFORMED).all()
@@ -95,7 +95,7 @@ def test_init_single_node_already_complete():
 def test_init_push_start_has_no_sequential_mode():
     state = init_simulation(FullyRandomPush(), 4, 2, seed=7)
     assert state._status[2] == _INFORMED
-    assert state._mode[2] == _M_PENDING
+    assert state._mode[2] != _M_SEQ
 
 
 def test_init_quasirandom_start_gets_a_list_position():
@@ -123,6 +123,9 @@ def test_init_rejects_bad_arguments():
 def test_init_rejects_crashed_start_or_negative_round():
     with pytest.raises(ValueError):
         init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={0: 1})
+    for node in (-1, 4):
+        with pytest.raises(ValueError, match=f"crash schedule node {node} out of range"):
+            init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={node: 1})
     with pytest.raises(ValueError):
         init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={1: -1})
 
@@ -147,9 +150,10 @@ def test_node_informed_this_round_makes_no_call_yet():
     # Round 1 has exactly one call: node 1 is informed during it and must
     # wait for round 2.
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
-    report = execute_round(state)
-    assert report.calls_made == 1
-    assert state._informed_at[1] == 1
+    assert execute_round(state) is False
+    assert state.total_calls == 1
+    assert state._status[1] == _INFORMED
+    assert state.per_round_informed == [1, 2]
 
 
 def test_sequential_mode_targets_the_stored_successor():
@@ -167,7 +171,7 @@ def test_apply_call_informs_and_advances_walk():
     assert record.outcome == CallOutcome.INFORMED
     assert record.round == 1
     assert state._status[3] == _INFORMED
-    assert (state._informed_at[3], state._informer[3]) == (1, 0)
+    assert (record.caller, record.target) == (0, 3)
     assert (state._mode[0], state._next_target[0]) == (_M_SEQ, 4)
     assert (state.total_calls, state.informing_calls) == (1, 1)
 
@@ -283,7 +287,7 @@ def test_golden_tie_random_caller_wins():
 def test_two_nodes_complete_in_one_forced_call():
     state = init_simulation(Hybrid(1), 2, 0, seed=7, keep_log=True)
     execute_round(state)
-    assert state._informed_at[1] == 1
+    assert state._status[1] == _INFORMED
     assert state._live_uninformed == 0
     assert as_tuples(state.log) == [(1, 0, 1, "initial_successor", "informed", 0)]
 
@@ -512,7 +516,7 @@ def test_property_kernel_matches_reference_engine(config):
     )
 
 
-NODE_ARRAYS = ("_status", "_mode", "_next_target", "_encounters", "_informed_at", "_informer")
+NODE_ARRAYS = ("_status", "_mode", "_next_target", "_encounters")
 
 
 def assert_kernel_matches_reference(spec, n, seed, start=0, **options):
@@ -660,12 +664,27 @@ def test_round_allocates_no_per_node_array():
     state = init_simulation(Hybrid(4), n, seed=0)
     tracemalloc.start()
     try:
-        report = execute_round(state)
+        stalled = execute_round(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.calls_made == 1
+    assert not stalled and state.total_calls == 1
     assert peak / n < 2
+
+
+@pytest.mark.parametrize("spec", [Hybrid(4), FullyRandomPush(), Quasirandom("identical")], ids=str)
+def test_world_state_is_at_most_27_bytes_per_node(spec):
+    # int8 status and mode, int64 next target, encounters and first-writer
+    # scratch: 26 bytes per node, whatever the protocol reads of them.
+    n = 2**20
+    tracemalloc.start()
+    try:
+        state = init_simulation(spec, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del state
+    assert peak / n <= 27
 
 
 def test_first_columns_read_holds_the_log_once():

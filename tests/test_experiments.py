@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from rumorsim.core import RUN_COMPLETED
 from rumorsim.experiments import (
     CrashModel,
     ExperimentConfig,
+    StatBlock,
     SweepCell,
+    _pairwise,
     _stat_block,
     build_trial_state,
     compare_protocols,
@@ -286,13 +289,29 @@ def test_compare_same_spec_gets_independent_streams():
     assert report.stats == sweep(cells, 20, 42, crash=crash).stats
 
 
+@pytest.mark.parametrize("hybrid_mean, flagged", [(10.5, True), (10.3, False), (9.0, False)])
+def test_dominance_flag_is_the_same_in_either_order(hybrid_mean, flagged):
+    # The flag is raised when the hybrid is slower than identical-list
+    # walking by more than three combined standard errors (0.1414 here).
+    blocks = {
+        "hybrid": StatBlock(40, hybrid_mean, hybrid_mean, 0.1, ()),
+        "quasirandom-identical": StatBlock(40, 10.0, 10.0, 0.1, ()),
+    }
+    for names in (("hybrid", "quasirandom-identical"), ("quasirandom-identical", "hybrid")):
+        stats = [SimpleNamespace(completion_rounds=blocks[name]) for name in names]
+        pair = _pairwise(names, stats, 0, 1)
+        assert (pair.name_a, pair.name_b) == names
+        assert pair.mean_diff == pytest.approx(blocks[names[0]].mean - blocks[names[1]].mean)
+        assert pair.dominance_flagged is flagged
+
+
 def test_compare_pairwise_fields():
     report = compare_protocols(
         [Hybrid(1), Quasirandom("identical"), FullyRandomPush()], 256, 40, 7
     )
     assert len(report.pairs) == 3
     pair = report.pairs[0]
-    assert (pair.index_a, pair.index_b) == (0, 1)
+    assert (pair.name_a, pair.name_b) == ("hybrid", "quasirandom-identical")
     assert pair.mean_diff == pytest.approx(pair.mean_a - pair.mean_b)
     assert pair.combined_std_error >= 0
     # The hybrid is at least as fast as shared-list walking here, so the

@@ -59,6 +59,41 @@ def test_only_protocols_dispatches_on_spec_types():
     assert offenders == []
 
 
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_every_per_node_array_is_read():
+    # An array that the kernel only writes costs bytes per node and a
+    # scatter per round for nothing.  Every array ``_Stack.__init__``
+    # allocates with numpy must be read in ``core`` outside an ``__init__``;
+    # a store into it by subscript is not a read.
+    tree = ast.parse(pathlib.Path(rumorsim.core.__file__).read_text())
+    stack = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == "_Stack")
+    init = next(node for node in stack.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    allocated = {
+        target.attr
+        for node in ast.walk(init) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call) and _root_name(node.value.func) == "np"
+        for target in node.targets if isinstance(target, ast.Attribute)
+    }
+    assert {"_status", "_next_target"} <= allocated
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            skipped.update(map(id, ast.walk(node)))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            skipped.add(id(node.value))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped}
+    assert sorted(allocated - read) == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >=3.10.
     sources = sorted(pathlib.Path(rumorsim.__file__).parent.glob("*.py"))

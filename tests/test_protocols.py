@@ -52,6 +52,11 @@ def test_hybrid_rejects_budgets_below_one(budget):
         Hybrid(budget)
 
 
+def test_quasirandom_rejects_an_unknown_list_model():
+    with pytest.raises(ValueError, match="unknown list model: 'bogus'"):
+        Quasirandom("bogus")
+
+
 def test_protocol_from_name_builds_each_spec():
     assert PROTOCOL_NAMES == ("hybrid", "quasirandom-identical", "quasirandom-independent", "push")
     specs = [Hybrid(3), Quasirandom("identical"), Quasirandom("independent"), FullyRandomPush()]

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -55,6 +56,15 @@ def test_round6_magnitudes():
 def test_json_value_walks_containers():
     doc = {"a": [1.23456789, {"b": (2, 0.1)}], "c": None, "d": True}
     assert json_value(doc) == {"a": [1.23457, {"b": [2, 0.1]}], "c": None, "d": True}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_formats_refuse_non_finite_floats(value):
+    # NaN and Infinity are not JSON.
+    with pytest.raises(ValueError):
+        format_json({"x": value})
+    with pytest.raises(ValueError):
+        format_jsonl([{"x": 1.0}, {"x": value}])
 
 
 def test_format_json_is_stable_and_newline_terminated():
@@ -113,6 +123,12 @@ def test_trace_csv_header_first_line():
         (
             "round,caller,target,kind,outcome,serial_position\n0,0,1,random,informed,0\n",
             "line 2",
+        ),
+        (
+            # Ten commas in two rows, but not five in each.
+            "round,caller,target,kind,outcome,serial_position\n"
+            "1,0,1,random,informed,0,9\n2,0,2,random,informed\n",
+            "^line 2: expected 6 fields, got 7$",
         ),
     ],
 )

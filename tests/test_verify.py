@@ -480,6 +480,44 @@ def test_summary_profile_tampering_is_caught():
     assert verify_summary_against_trace(bad, records)
 
 
+def test_summary_profile_not_starting_at_one_is_caught():
+    summary, records = logged_run()
+    bad = dataclasses.replace(summary, per_round_informed=(2,) + summary.per_round_informed[1:])
+    assert "per_round_informed[0] = 2, expected 1" in verify_summary_against_trace(bad, records)
+
+
+def test_summary_profile_that_shrinks_is_caught():
+    summary, records = logged_run()
+    prof = list(summary.per_round_informed)
+    assert prof[:2] == [1, 2]
+    prof[2] = 1
+    bad = dataclasses.replace(summary, per_round_informed=tuple(prof))
+    assert "informed count shrinks at round 2" in verify_summary_against_trace(bad, records)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(outcome="stalled"), "completion_round {rounds} for a stalled run"),
+    (dict(outcome="capped"), "completion_round {rounds} for a capped run"),
+    (dict(completion_round=None), "completion_round None for a completed run"),
+    (dict(completion_round=99), "completion_round 99 != rounds_executed {rounds}"),
+    (dict(n=40), "node id 47 in trace is not below n=40"),
+])
+def test_summary_that_contradicts_itself_or_its_trace_is_caught(changes, message):
+    summary, records = logged_run()
+    assert summary.outcome == "completed"
+    bad = dataclasses.replace(summary, **changes)
+    violations = verify_summary_against_trace(bad, records)
+    assert message.format(rounds=summary.rounds_executed) in violations
+
+
+def test_summary_of_a_stall_or_cap_without_completion_round_passes():
+    for schedule, cap in (({i: 4 for i in range(1, 26)}, None), (None, 2)):
+        state = init_simulation(Hybrid(1), 32, 0, seed=0, crash_schedule=schedule, keep_log=True)
+        summary = run(state, cap)
+        assert summary.completion_round is None
+        assert verify_summary_against_trace(summary, list(state.log)) == []
+
+
 def test_summary_with_empty_profile_is_a_violation():
     summary, records = logged_run()
     bad = dataclasses.replace(summary, rounds_executed=-1, per_round_informed=())
@@ -489,6 +527,10 @@ def test_summary_with_empty_profile_is_a_violation():
 
 
 def test_summary_completion_before_last_round_is_caught():
+    # A completed run's completion round is its last executed round, which
+    # is at or after the trace's last round.
     summary, records = logged_run()
     bad = dataclasses.replace(summary, completion_round=0)
-    assert verify_summary_against_trace(bad, records)
+    assert verify_summary_against_trace(bad, records) == [
+        f"completion_round 0 != rounds_executed {summary.rounds_executed}"
+    ]
