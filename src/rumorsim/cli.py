@@ -305,7 +305,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     violations = list(report.violations)
     if summary is not None:
-        violations.extend(verify_summary_against_trace(summary, records))
+        violations.extend(verify_summary_against_trace(summary, records, n=args.n))
 
     document = {
         "records_checked": report.records_checked,

@@ -27,8 +27,9 @@ crash schedule, counters and call log.  A single run is a one-world stack;
 ``run_trials`` runs its trials in larger ones.
 
 Each protocol's rules live in one private rules class, found in ``_RULES``
-by the spec's ``name``: the start node's round-0 setup, the round's target
-draws, and the callers' state update once the round's outcomes are known.
+by the spec's ``name``: the per-node arrays it reads, the start node's
+round-0 setup, the round's target draws, and the callers' state update
+once the round's outcomes are known.
 ``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
 one world and by ``run_stack`` for a stack.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
@@ -85,7 +86,6 @@ RUN_CAPPED = "capped"
 
 # Internal array codes.
 _UNINFORMED, _INFORMED, _STOPPED, _CRASHED = 0, 1, 2, 3
-_M_NONE, _M_SEQ, _M_PENDING = 0, 1, 2
 _K_INITIAL, _K_SEQUENTIAL, _K_RANDOM = 0, 1, 2
 _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
 _NO_SERIAL = np.iinfo(np.int64).max
@@ -277,7 +277,8 @@ class _Rules:
     """One protocol's rules; each stack holds exactly one.
 
     The round kernel updates status itself and leaves everything
-    protocol-specific to these operations.
+    protocol-specific to these operations and to the per-node arrays (one
+    entry per stack entry) that ``__init__`` allocates.
     """
 
     def __init__(self, spec: ProtocolSpec, n: int, entries: int):
@@ -292,60 +293,61 @@ class _Rules:
         world's in its callers' order."""
         raise NotImplementedError
 
-    def settle(self, stack, calls, targets, entries, informed, already, crashed) -> None:
+    def settle(self, stack, calls, targets, already, crashed) -> None:
         """Update the callers' protocol state after the round's outcomes.
 
-        ``targets`` are the calls' target ids and ``entries`` their stack
-        entries, in caller order as ``draw`` gave them; the three boolean
-        masks mark the informing, encounter and crashed-target calls.  Each
-        caller calls once, so no update depends on the serial order.
+        ``targets`` are the calls' target ids, in caller order as ``draw``
+        gave them; the two boolean masks mark the encounter and
+        crashed-target calls.  Each caller calls once, so no update depends
+        on the serial order.
         """
 
 
 class _HybridRules(_Rules):
     """Walk the cyclic order; an encounter costs one budget unit and sends
-    the caller to a random restart, or stops it once the budget is spent."""
+    the caller to a random restart, or stops it once the budget is spent.
+    ``next_target`` is -1 while a node is pending a random call."""
 
     def __init__(self, spec, n, entries):
         self.stop_budget = spec.stop_budget
+        self.next_target = np.full(entries, -1, dtype=np.int64)
+        self.encounters = np.zeros(entries, dtype=np.int64)
 
     def setup(self, state):
-        state._mode[state.start] = _M_SEQ
-        state._next_target[state.start] = (state.start + 1) % state.n
+        self.next_target[state._base + state.start] = (state.start + 1) % state.n
 
     def draw(self, stack, calls):
         callers = calls.callers
-        pending = np.flatnonzero(stack._mode[callers] == _M_PENDING)
-        targets = stack._next_target[callers]
+        targets = self.next_target[callers]
+        pending = np.flatnonzero(targets < 0)
         targets[pending] = _random_targets(stack, calls, pending)
         kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
         kinds[pending] = _K_RANDOM
         starts = calls.starts
         walking = starts[
             (stack._status[starts] == _INFORMED)
-            & (stack._mode[starts] == _M_SEQ)
-            & (stack._encounters[starts] == 0)
+            & (self.next_target[starts] >= 0)
+            & (self.encounters[starts] == 0)
         ]
         # An informed start is a caller; callers arrive sorted.
         kinds[np.searchsorted(callers, walking)] = _K_INITIAL
         return targets, kinds
 
-    def settle(self, stack, calls, targets, entries, informed, already, crashed):
-        n = stack.n
+    def settle(self, stack, calls, targets, already, crashed):
         callers = calls.callers
-        # Freshly informed nodes open with a random call next round; only
-        # the starting node begins on its own successor run.
-        stack._mode[entries[informed]] = _M_PENDING
-
-        # Each caller calls exactly once per round, so the outcome groups
-        # partition the callers and the updates below are independent.
-        ic = callers[informed]
-        stack._mode[ic] = _M_SEQ
-        stack._next_target[ic] = _successors(targets[informed], n)
+        # An informing caller, or a walker whose target crashed (no budget
+        # spent), walks on; an encounter, or a pending caller's crashed
+        # target, leaves it pending, as freshly informed nodes are.
+        following = _successors(targets, stack.n)
+        following[already | (crashed & (self.next_target[callers] < 0))] = -1
+        self.next_target[callers] = following
+        # Free it before the budget block allocates: together they would
+        # set the round's peak memory.
+        del following
 
         ac = callers[already]
-        bumped = stack._encounters[ac] + 1
-        stack._encounters[ac] = bumped
+        bumped = self.encounters[ac] + 1
+        self.encounters[ac] = bumped
         stop = bumped >= self.stop_budget
         # A starting node's first encounter only ends its initial walk.
         at = np.searchsorted(ac, calls.starts)
@@ -354,34 +356,30 @@ class _HybridRules(_Rules):
         at = at[found]
         stop[at] = bumped[at] > self.stop_budget
         stack._status[ac[stop]] = _STOPPED
-        # A stopped node never calls again; a pending one redraws its target.
-        stack._mode[ac] = _M_PENDING
-
-        # A crashed target costs no budget: walkers step past it, random
-        # callers stay pending and redraw next round.
-        cc = callers[crashed]
-        walker = stack._mode[cc] == _M_SEQ
-        stack._next_target[cc[walker]] = _successors(targets[crashed][walker], n)
 
 
 class _SharedListRules(_Rules):
     """Quasirandom with identical lists: walk the shared cyclic order from
-    a uniformly random position, one step per call, never stopping."""
+    a uniformly random position, one step per call, never stopping;
+    ``next_target`` is -1 until a node draws its position."""
+
+    def __init__(self, spec, n, entries):
+        self.next_target = np.full(entries, -1, dtype=np.int64)
 
     def setup(self, state):
         # The start picks its position on the shared list up front.
-        state._next_target[state.start] = int(state.rng.integers(0, state.n))
+        self.next_target[state._base + state.start] = int(state.rng.integers(0, state.n))
 
     def draw(self, stack, calls):
-        targets = stack._next_target[calls.callers]
+        targets = self.next_target[calls.callers]
         # A node informed by a call picks its position at its first call.
         undrawn = np.flatnonzero(targets < 0)
         if len(undrawn):
             targets[undrawn] = _draw_integers(calls, stack.n, undrawn)
         return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, stack, calls, targets, entries, informed, already, crashed):
-        stack._next_target[calls.callers] = _successors(targets, stack.n)
+    def settle(self, stack, calls, targets, already, crashed):
+        self.next_target[calls.callers] = _successors(targets, stack.n)
 
 
 class _IndependentListRules(_Rules):
@@ -462,7 +460,7 @@ class _IndependentListRules(_Rules):
             targets[a:b] = self._draw_fresh(world.rng, callers[a:b], idx[a:b])
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, stack, calls, targets, entries, informed, already, crashed):
+    def settle(self, stack, calls, targets, already, crashed):
         self.list_index[calls.callers] += 1
 
 
@@ -487,9 +485,10 @@ _RULES = {
 
 
 class _Stack:
-    """The per-node arrays of ``count`` worlds of one ``(spec, n, start,
-    allow_self_calls)``: world ``w``'s node ``i`` is entry ``w * n + i``.
-    Next targets hold a node's id in its own world."""
+    """``count`` worlds of one ``(spec, n, start, allow_self_calls)``: world
+    ``w``'s node ``i`` is entry ``w * n + i`` of the status, the first-writer
+    scratch and every per-node array of the rules; a target id, stored or
+    drawn, is a node's id in its own world."""
 
     def __init__(self, spec, n: int, start: int, allow_self_calls: bool, count: int):
         self.spec = spec
@@ -502,9 +501,6 @@ class _Stack:
         self._edges = np.arange(count + 1, dtype=np.int64) * n
         size = count * n
         self._status = np.zeros(size, dtype=np.int8)
-        self._mode = np.zeros(size, dtype=np.int8)
-        self._next_target = np.full(size, -1, dtype=np.int64)
-        self._encounters = np.zeros(size, dtype=np.int64)
         # The round kernel's first-writer scratch; all sentinel between rounds.
         self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int64)
 
@@ -512,9 +508,9 @@ class _Stack:
 class SimulationState:
     """One world: its generator, crash schedule, counters and call log.
 
-    Built by ``init_simulation`` (a world alone) or ``init_stack``; the
-    per-node arrays (``_status`` and the rest) are the world's slices of
-    its stack's arrays, indexed by node id.
+    Built by ``init_simulation`` (a world alone) or ``init_stack``; its
+    nodes are its stack's entries from ``_base`` on, and ``_status`` is the
+    world's slice of the stack's status, indexed by node id.
     """
 
     def __init__(self, stack: _Stack, index: int, seed, crash_schedule, keep_log: bool):
@@ -544,12 +540,7 @@ class SimulationState:
         self._crash_rounds = [rnd for _, rnd in ordered]
         self._crash_ptr = 0
 
-        nodes = slice(self._base, self._base + n)
-        self._status = stack._status[nodes]
-        self._mode = stack._mode[nodes]
-        self._next_target = stack._next_target[nodes]
-        self._encounters = stack._encounters[nodes]
-        self._first_serial = stack._first_serial[nodes]
+        self._status = stack._status[self._base : self._base + n]
 
         self.total_calls = 0
         self.informing_calls = 0
@@ -704,9 +695,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     already_mask = ~(informed_mask | crashed_mask)
 
     stack._status[entries[winners]] = _INFORMED
-    stack._rules.settle(
-        stack, calls, targets, entries, informed_mask, already_mask, crashed_mask
-    )
+    stack._rules.settle(stack, calls, targets, already_mask, crashed_mask)
 
     outcomes = None
     informs = _per_world_counts(informed_mask, bounds)

@@ -68,6 +68,11 @@ class CrashModel:
                 raise ValueError("fixed_round timing needs a non-negative round")
         if self.max_round is not None and self.max_round < 0:
             raise ValueError(f"max_round must be >= 0, got {self.max_round}")
+        # Crash rounds are drawn and held as int64.
+        for field in ("round", "max_round"):
+            value = getattr(self, field)
+            if value is not None and value >= 2**63:
+                raise ValueError(f"crash {field} must be below 2**63, got {value}")
 
 
 @dataclass(frozen=True)

@@ -477,11 +477,14 @@ _CALLER_RULES = {
 
 
 def verify_summary_against_trace(
-    summary: TraceSummary, records: Sequence[CallRecord]
+    summary: TraceSummary, records: Sequence[CallRecord], *, n: int | None = None
 ) -> list[str]:
-    """Cross-check a summary document against its call trace."""
+    """Cross-check a summary document against its call trace, and its
+    ``n`` against ``n`` when given."""
     columns = CallRecord.columns_of(records)
     violations = []
+    if n is not None and summary.n != n:
+        violations.append(f"summary n {summary.n} != n={n}")
     if summary.total_calls != len(columns.round):
         violations.append(
             f"total_calls {summary.total_calls} != {len(columns.round)} trace records"

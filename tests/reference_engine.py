@@ -23,8 +23,6 @@ from rumorsim.core import (
     _CRASHED,
     _INFORMED,
     _KIND_ENUM,
-    _M_PENDING,
-    _M_SEQ,
     _O_ALREADY,
     _O_CRASHED,
     _O_INFORMED,
@@ -97,7 +95,7 @@ def independent_list_target(state: SimulationState, caller: int) -> int:
 
 def _advance_list_caller(state: SimulationState, caller: int, target: int) -> None:
     if state.spec.name == "quasirandom-identical":
-        state._next_target[caller] = (target + 1) % state.n
+        state._rules.next_target[state._base + caller] = (target + 1) % state.n
     else:
         state._rules.list_index[state._base + caller] += 1
 
@@ -124,14 +122,17 @@ def apply_call(
     state.total_calls += 1
     spec = state.spec
     target_status = state._status[target]
+    # A hybrid node's next target; -1 while it is pending a random call.
+    entry = state._base + caller
+    next_target = state._rules.next_target if spec.name == "hybrid" else None
 
     if target_status == _CRASHED:
         outcome = _O_CRASHED
         state.crashed_target_calls += 1
         if spec.name == "hybrid":
-            if state._mode[caller] == _M_SEQ:
-                state._next_target[caller] = (target + 1) % state.n
-            # PendingRandom callers stay pending and redraw next round.
+            if next_target[entry] >= 0:
+                next_target[entry] = (target + 1) % state.n
+            # Pending callers stay pending and redraw next round.
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
     elif target_status == _UNINFORMED:
@@ -140,11 +141,10 @@ def apply_call(
         state._status[target] = _INFORMED
         state._live_uninformed -= 1
         if spec.name == "hybrid":
-            # A freshly informed node opens with a random call; only the
-            # starting node begins on its own successor run.
-            state._mode[target] = _M_PENDING
-            state._mode[caller] = _M_SEQ
-            state._next_target[caller] = (target + 1) % state.n
+            # The target is pending since round 0: a freshly informed node
+            # opens with a random call; only the starting node begins on
+            # its own successor run.
+            next_target[entry] = (target + 1) % state.n
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)
             # The target picks its own list position at its first call.
@@ -152,11 +152,12 @@ def apply_call(
         outcome = _O_ALREADY
         state.encounter_calls += 1
         if spec.name == "hybrid":
-            state._encounters[caller] += 1
+            encounters = state._rules.encounters
+            encounters[entry] += 1
             # The caller draws a fresh target next round, unless it stops:
             # a stopped node never calls again.
-            state._mode[caller] = _M_PENDING
-            if state._encounters[caller] >= _budget_limit(state, caller):
+            next_target[entry] = -1
+            if encounters[entry] >= _budget_limit(state, caller):
                 state._status[caller] = _STOPPED
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)

@@ -286,10 +286,13 @@ def _check_independent_caller(flag, caller, calls, *, n) -> None:
 
 
 def verify_summary_against_trace(
-    summary: TraceSummary, records: Sequence[CallRecord]
+    summary: TraceSummary, records: Sequence[CallRecord], *, n: int | None = None
 ) -> list[str]:
-    """Cross-check a summary document against its call trace."""
+    """Cross-check a summary document against its call trace, and its
+    ``n`` against ``n`` when given."""
     violations = []
+    if n is not None and summary.n != n:
+        violations.append(f"summary n {summary.n} != n={n}")
     if summary.total_calls != len(records):
         violations.append(
             f"total_calls {summary.total_calls} != {len(records)} trace records"

@@ -100,6 +100,21 @@ def test_simulate_usage_errors():
     assert run_cli() == EXIT_USAGE
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "8"], ["compare", "--n", "8", "--trials", "2"],
+], ids=["simulate", "compare"])
+@pytest.mark.parametrize("flags, field", [
+    (["--crash-timing", "fixed_round", "--crash-round"], "round"),
+    (["--crash-max-round"], "max_round"),
+], ids=["round", "max_round"])
+def test_crash_round_beyond_int64_is_a_usage_error(subcommand, flags, field, capsys):
+    huge = "99999999999999999999"
+    assert run_cli(*subcommand, "--rho", "0.5", *flags, huge, "--seed", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: crash {field} must be below 2**63, got {huge}\n"
+
+
 def test_simulate_writes_trace_and_summary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"
@@ -461,17 +476,19 @@ def test_trace_rejects_summary_with_fractional_counts(tmp_path, capsys):
     assert "bad summary document: " in captured.err
 
 
-def rewritten_summary_violations(tmp_path, capsys, run_flags, **changes):
-    """``trace --summary``'s violations for a run's own trace and its
-    summary with ``changes`` applied; the unchanged summary passes."""
+def rewritten_summary_violations(tmp_path, capsys, run_flags, trace_flags=(), **changes):
+    """``trace --summary``'s violations, with ``trace_flags``, for a run's
+    own trace and its summary with ``changes`` applied; the unchanged
+    summary passes."""
     trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
     assert run_cli("simulate", *run_flags, "--trace-out", str(trace),
                    "--summary-out", str(summary)) == EXIT_OK
     capsys.readouterr()
-    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_OK
+    check = ("trace", str(trace), *trace_flags, "--summary", str(summary))
+    assert run_cli(*check) == EXIT_OK
     capsys.readouterr()
     summary.write_text(json.dumps({**json.loads(summary.read_text()), **changes}))
-    assert run_cli("trace", str(trace), "--summary", str(summary)) == EXIT_VIOLATION
+    assert run_cli(*check) == EXIT_VIOLATION
     return out_json(capsys)["violations"]
 
 
@@ -498,6 +515,14 @@ def test_trace_summary_with_n_below_a_traced_node_fails(tmp_path, capsys):
         n=50,
     )
     assert violations == ["node id 63 in trace is not below n=50"]
+
+
+def test_trace_summary_of_another_n_than_given_fails(tmp_path, capsys):
+    # n=9 is consistent with the n=8 trace on its own; only --n refutes it.
+    violations = rewritten_summary_violations(
+        tmp_path, capsys, ["--n", "8", "--seed", "3"], ["--n", "8"], n=9
+    )
+    assert violations == ["summary n 9 != n=8"]
 
 
 def test_trace_rejects_summary_with_negative_rounds(tmp_path, capsys):

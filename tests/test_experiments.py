@@ -61,6 +61,15 @@ def test_crash_model_rejects_bad_values():
         CrashModel(fraction=0.5, timing="fixed_round")
     with pytest.raises(ValueError):
         CrashModel(fraction=0.5, timing="uniform_round", max_round=-1)
+    with pytest.raises(ValueError, match="crash round must be below 2"):
+        CrashModel(fraction=0.5, timing="fixed_round", round=2**63)
+    with pytest.raises(ValueError, match="crash max_round must be below 2"):
+        CrashModel(fraction=0.5, max_round=2**63)
+    # Crash rounds are int64: the largest is still a round, one never reached.
+    rng = np.random.default_rng(0)
+    for model in (CrashModel(0.5, "fixed_round", round=2**63 - 1),
+                  CrashModel(0.5, max_round=2**63 - 1)):
+        assert len(generate_crash_schedule(8, model, rng)) == 4
 
 
 # ---------------------------------------------------------- seeding discipline

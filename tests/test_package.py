@@ -67,21 +67,29 @@ def _root_name(node):
 
 def test_every_per_node_array_is_read():
     # An array that the kernel only writes costs bytes per node and a
-    # scatter per round for nothing.  Every array ``_Stack.__init__``
-    # allocates with numpy must be read in ``core`` outside an ``__init__``;
-    # a store into it by subscript is not a read.
+    # scatter per round for nothing.  Every array that a class of ``core``
+    # (the stack, each protocol's rules) allocates with numpy in its
+    # ``__init__`` must be read in ``core`` outside an ``__init__``; a store
+    # into it by subscript is not a read.
     tree = ast.parse(pathlib.Path(rumorsim.core.__file__).read_text())
-    stack = next(node for node in ast.walk(tree)
-                 if isinstance(node, ast.ClassDef) and node.name == "_Stack")
-    init = next(node for node in stack.body
-                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    allocated = {
-        target.attr
-        for node in ast.walk(init) if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call) and _root_name(node.value.func) == "np"
-        for target in node.targets if isinstance(target, ast.Attribute)
-    }
-    assert {"_status", "_next_target"} <= allocated
+    allocated = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                allocated[cls.name] = {
+                    target.attr
+                    for node in ast.walk(init) if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call) and _root_name(node.value.func) == "np"
+                    for target in node.targets if isinstance(target, ast.Attribute)
+                }
+    # The stack holds the status array and the kernel's scratch; the rules
+    # hold every protocol's own state.
+    assert allocated["_Stack"] == {"_status", "_first_serial"}
+    assert allocated["_HybridRules"] == {"next_target", "encounters"}
+    assert allocated["_SharedListRules"] == {"next_target"}
+    assert "_PushRules" not in allocated
     skipped = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "__init__":
@@ -91,7 +99,8 @@ def test_every_per_node_array_is_read():
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and id(node) not in skipped}
-    assert sorted(allocated - read) == []
+    unread = {name: sorted(arrays - read) for name, arrays in allocated.items()}
+    assert {name: arrays for name, arrays in unread.items() if arrays} == {}
 
 
 def test_sources_parse_as_python_3_10():

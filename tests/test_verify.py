@@ -501,12 +501,14 @@ def test_summary_profile_that_shrinks_is_caught():
     (dict(completion_round=None), "completion_round None for a completed run"),
     (dict(completion_round=99), "completion_round 99 != rounds_executed {rounds}"),
     (dict(n=40), "node id 47 in trace is not below n=40"),
+    (dict(n=49), "summary n 49 != n=48"),
 ])
 def test_summary_that_contradicts_itself_or_its_trace_is_caught(changes, message):
     summary, records = logged_run()
     assert summary.outcome == "completed"
+    assert verify_summary_against_trace(summary, records, n=48) == []
     bad = dataclasses.replace(summary, **changes)
-    violations = verify_summary_against_trace(bad, records)
+    violations = verify_summary_against_trace(bad, records, n=48)
     assert message.format(rounds=summary.rounds_executed) in violations
 
 

@@ -108,9 +108,10 @@ def test_verifier_agrees_with_the_per_record_oracle(data):
             assert (report.records_checked, report.n, report.start, report.violations) == (
                 expected.records_checked, expected.n, expected.start, expected.violations
             )
-    assert verify_summary_against_trace(summary, records) == (
-        reference_verify.verify_summary_against_trace(summary, records)
-    )
+    for given_n in (None, n, n + 1):
+        assert verify_summary_against_trace(summary, records, n=given_n) == (
+            reference_verify.verify_summary_against_trace(summary, records, n=given_n)
+        )
 
 
 def assert_same_report(records, options):
