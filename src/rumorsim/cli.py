@@ -169,9 +169,7 @@ def _resolve_protocol(args: argparse.Namespace, name: str, *, budget_hybrid_only
     return protocol_from_name(name, stop_budget=budget)
 
 
-def _resolve_crash_model(args: argparse.Namespace) -> CrashModel | None:
-    if args.rho == 0.0:
-        return None
+def _resolve_crash_model(args: argparse.Namespace) -> CrashModel:
     return CrashModel(
         fraction=args.rho,
         timing=args.crash_timing,

@@ -13,7 +13,7 @@ protocol a call that hits an already-informed target ends the caller's
 current iteration: it consumes one unit of the caller's stop budget and
 sends it back to a uniformly random restart, or stops it for good once
 the budget is spent.  The starting node walks its own successors first
-and its first such encounter is free (it only ends the initial walk).
+and its first such encounter is free: it begins one encounter in debt.
 
 All of a world's randomness is drawn from its one seeded generator in a
 fixed order (the round's target draws, in ascending caller id order, then
@@ -29,7 +29,7 @@ crash schedule, counters and call log.  A single run is a one-world stack;
 Each protocol's rules live in one private rules class, found in ``_RULES``
 by the spec's ``name``: the per-node arrays it reads, the start node's
 round-0 setup, the round's target draws, and the callers' state update
-once the round's outcomes are known.
+from the round's outcome codes, the ones a kept log records.
 ``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
 one world and by ``run_stack`` for a stack.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
@@ -293,20 +293,23 @@ class _Rules:
         world's in its callers' order."""
         raise NotImplementedError
 
-    def settle(self, stack, calls, targets, already, crashed) -> None:
+    def settle(self, stack, calls, targets, outcomes) -> None:
         """Update the callers' protocol state after the round's outcomes.
 
-        ``targets`` are the calls' target ids, in caller order as ``draw``
-        gave them; the two boolean masks mark the encounter and
-        crashed-target calls.  Each caller calls once, so no update depends
-        on the serial order.
+        ``targets`` are the calls' target ids and ``outcomes`` their int8
+        outcome codes, the ones a kept log records, both in caller order as
+        ``draw`` gave them.  Each caller calls once, so no update depends on
+        the serial order.
         """
 
 
 class _HybridRules(_Rules):
     """Walk the cyclic order; an encounter costs one budget unit and sends
     the caller to a random restart, or stops it once the budget is spent.
-    ``next_target`` is -1 while a node is pending a random call."""
+    ``next_target`` is -1 while a node is pending a random call.  The start
+    walks its own successors first and its first encounter is free: it
+    begins one encounter in debt, with ``encounters`` at -1 until that
+    encounter ends its initial walk."""
 
     def __init__(self, spec, n, entries):
         self.stop_budget = spec.stop_budget
@@ -314,7 +317,9 @@ class _HybridRules(_Rules):
         self.encounters = np.zeros(entries, dtype=np.int64)
 
     def setup(self, state):
-        self.next_target[state._base + state.start] = (state.start + 1) % state.n
+        entry = state._base + state.start
+        self.next_target[entry] = (state.start + 1) % state.n
+        self.encounters[entry] = -1
 
     def draw(self, stack, calls):
         callers = calls.callers
@@ -323,23 +328,20 @@ class _HybridRules(_Rules):
         targets[pending] = _random_targets(stack, calls, pending)
         kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
         kinds[pending] = _K_RANDOM
-        starts = calls.starts
-        walking = starts[
-            (stack._status[starts] == _INFORMED)
-            & (self.next_target[starts] >= 0)
-            & (self.encounters[starts] == 0)
-        ]
-        # An informed start is a caller; callers arrive sorted.
+        # Only a start can be in debt, and an indebted start is informed and
+        # not stopped, so a caller; callers arrive sorted.
+        walking = calls.starts[self.encounters[calls.starts] < 0]
         kinds[np.searchsorted(callers, walking)] = _K_INITIAL
         return targets, kinds
 
-    def settle(self, stack, calls, targets, already, crashed):
+    def settle(self, stack, calls, targets, outcomes):
         callers = calls.callers
+        already = outcomes == _O_ALREADY
         # An informing caller, or a walker whose target crashed (no budget
         # spent), walks on; an encounter, or a pending caller's crashed
         # target, leaves it pending, as freshly informed nodes are.
         following = _successors(targets, stack.n)
-        following[already | (crashed & (self.next_target[callers] < 0))] = -1
+        following[already | ((outcomes == _O_CRASHED) & (self.next_target[callers] < 0))] = -1
         self.next_target[callers] = following
         # Free it before the budget block allocates: together they would
         # set the round's peak memory.
@@ -348,14 +350,7 @@ class _HybridRules(_Rules):
         ac = callers[already]
         bumped = self.encounters[ac] + 1
         self.encounters[ac] = bumped
-        stop = bumped >= self.stop_budget
-        # A starting node's first encounter only ends its initial walk.
-        at = np.searchsorted(ac, calls.starts)
-        found = at < len(ac)
-        found[found] = ac[at[found]] == calls.starts[found]
-        at = at[found]
-        stop[at] = bumped[at] > self.stop_budget
-        stack._status[ac[stop]] = _STOPPED
+        stack._status[ac[bumped >= self.stop_budget]] = _STOPPED
 
 
 class _SharedListRules(_Rules):
@@ -378,7 +373,7 @@ class _SharedListRules(_Rules):
             targets[undrawn] = _draw_integers(calls, stack.n, undrawn)
         return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, stack, calls, targets, already, crashed):
+    def settle(self, stack, calls, targets, outcomes):
         self.next_target[calls.callers] = _successors(targets, stack.n)
 
 
@@ -460,7 +455,7 @@ class _IndependentListRules(_Rules):
             targets[a:b] = self._draw_fresh(world.rng, callers[a:b], idx[a:b])
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
 
-    def settle(self, stack, calls, targets, already, crashed):
+    def settle(self, stack, calls, targets, outcomes):
         self.list_index[calls.callers] += 1
 
 
@@ -682,7 +677,6 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     # serial order informs it, later ones find it already informed.
     entries = calls.entries(targets)
     t_status = stack._status[entries]
-    crashed_mask = t_status == _CRASHED
     open_serial = np.flatnonzero((t_status == _UNINFORMED)[order])
     open_calls = order[open_serial]
     open_targets = entries[open_calls]
@@ -690,16 +684,16 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     np.minimum.at(first, open_targets, open_serial)
     winners = open_calls[first[open_targets] == open_serial]
     first[open_targets] = _NO_SERIAL
-    informed_mask = np.zeros(k, dtype=bool)
-    informed_mask[winners] = True
-    already_mask = ~(informed_mask | crashed_mask)
+    # Every call is an encounter, or a crashed-target call where its target
+    # had crashed (``_O_CRASHED`` is ``_O_ALREADY + 1``), unless it informs.
+    outcomes = np.add(t_status == _CRASHED, _O_ALREADY, dtype=np.int8)
+    outcomes[winners] = _O_INFORMED
 
     stack._status[entries[winners]] = _INFORMED
-    stack._rules.settle(stack, calls, targets, already_mask, crashed_mask)
+    stack._rules.settle(stack, calls, targets, outcomes)
 
-    outcomes = None
-    informs = _per_world_counts(informed_mask, bounds)
-    crashes = _per_world_counts(crashed_mask, bounds)
+    informs = _per_world_counts(outcomes == _O_INFORMED, bounds)
+    crashes = _per_world_counts(outcomes == _O_CRASHED, bounds)
     for world, a, b, informed, crashed in zip(calling, bounds, bounds[1:], informs, crashes):
         world.total_calls += b - a
         world.informing_calls += informed
@@ -707,10 +701,6 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         world.crashed_target_calls += crashed
         world._live_uninformed -= informed
         if world.log is not None:
-            if outcomes is None:
-                outcomes = np.full(k, _O_ALREADY, dtype=np.int8)
-                outcomes[crashed_mask] = _O_CRASHED
-                outcomes[winners] = _O_INFORMED
             serial = order[a:b]
             world.log.append_columns(
                 CallRecord(

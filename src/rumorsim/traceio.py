@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import mmap
 import os
 import re
 from dataclasses import asdict, fields
@@ -232,9 +233,14 @@ def parse_trace_csv(text: str) -> CallLog:
 
 
 def read_trace_csv(path: str) -> CallLog:
+    # Mapped, not read into one heap block: where the heap had room for tens
+    # of MB would otherwise set the process's peak memory.
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            try:
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # an empty file, or not a regular one
+                data = handle.read()
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file: {exc}") from None
     return _parse_trace(data)
@@ -255,10 +261,11 @@ def _parse_trace(data: bytes) -> CallLog:
         )
     # Each line holds at most one row: the columns are allocated once, for
     # every line, and filled block by block.
-    lines = data.count(b"\n", header_end + 1) + 1
+    body, step = np.frombuffer(data, dtype=np.uint8), _BLOCK_ROWS * _LINE_BYTES
+    lines = 1 + sum(np.count_nonzero(body[at : at + step] == _NEWLINE)
+                    for at in range(header_end + 1, len(body), step))
     columns = CallRecord._make(np.empty(lines, dtype) for dtype in COLUMN_DTYPES)
     rows, lineno = 0, 2
-    body = np.frombuffer(data, dtype=np.uint8)
     for begin, end, newlines in _line_blocks(body, header_end + 1):
         block = _parse_rows(body[begin:end], newlines)
         if block is None:

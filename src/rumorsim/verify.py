@@ -524,6 +524,8 @@ def verify_summary_against_trace(
         informs_per_round = np.bincount(informing, minlength=len(prof)).tolist()
         if prof[0] != 1:
             violations.append(f"per_round_informed[0] = {prof[0]}, expected 1")
+        # From round n.bit_length() on, 2**t exceeds n, so n is the cap.
+        n_caps_from = summary.n.bit_length()
         for t in range(1, len(prof)):
             grew = prof[t] - prof[t - 1]
             if grew < 0:
@@ -533,7 +535,7 @@ def verify_summary_against_trace(
                     f"round {t}: informed count grows by {grew} but the trace "
                     f"has {informs_per_round[t]} informing calls"
                 )
-            if prof[t] > min(summary.n, 2**t):
+            if prof[t] > (summary.n if t >= n_caps_from else min(summary.n, 2**t)):
                 violations.append(
                     f"round {t}: informed count {prof[t]} above the doubling cap"
                 )

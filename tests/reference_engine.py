@@ -100,11 +100,6 @@ def _advance_list_caller(state: SimulationState, caller: int, target: int) -> No
         state._rules.list_index[state._base + caller] += 1
 
 
-def _budget_limit(state: SimulationState, caller: int) -> int:
-    # The starting node's first encounter only ends its initial walk.
-    return state.spec.stop_budget + (1 if caller == state.start else 0)
-
-
 def apply_call(
     state: SimulationState, intent: CallIntent, serial_position: int
 ) -> CallRecord:
@@ -157,7 +152,8 @@ def apply_call(
             # The caller draws a fresh target next round, unless it stops:
             # a stopped node never calls again.
             next_target[entry] = -1
-            if encounters[entry] >= _budget_limit(state, caller):
+            # The start begins one encounter in debt (its first is free).
+            if encounters[entry] >= spec.stop_budget:
                 state._status[caller] = _STOPPED
         elif spec.name in LISTS:
             _advance_list_caller(state, caller, target)

@@ -115,6 +115,23 @@ def test_crash_round_beyond_int64_is_a_usage_error(subcommand, flags, field, cap
     assert captured.err == f"error: crash {field} must be below 2**63, got {huge}\n"
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "8"], ["compare", "--n", "8", "--trials", "2"],
+], ids=["simulate", "compare"])
+@pytest.mark.parametrize("flags, message", [
+    (["--crash-round", "99999999999999999999"],
+     "crash round must be below 2**63, got 99999999999999999999"),
+    (["--crash-timing", "fixed_round"], "fixed_round timing needs a non-negative round"),
+    (["--crash-max-round", "-1"], "max_round must be >= 0, got -1"),
+], ids=["round", "fixed_round", "max_round"])
+def test_crash_flags_are_checked_with_no_crashes(subcommand, flags, message, capsys):
+    # A zero crash fraction draws no schedule, but its flags are still checked.
+    assert run_cli(*subcommand, "--rho", "0", *flags, "--seed", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_simulate_writes_trace_and_summary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"

@@ -101,6 +101,8 @@ def test_init_hybrid_start_walks_own_successor():
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     assert state._status[0] == _INFORMED
     assert rules_array(state, "next_target")[0] == 1
+    # Only the start begins in debt: its first encounter is free.
+    assert rules_array(state, "encounters").tolist() == [-1, 0, 0, 0]
     assert state.per_round_informed == [1]
     assert state.total_calls == 0
     assert state.informing_calls == 0
@@ -224,11 +226,17 @@ def test_apply_call_encounter_below_budget_restarts_randomly():
 
 
 def test_apply_call_start_budget_is_one_higher():
+    # The start walks one encounter in debt; the free encounter pays it off
+    # and ends the walk, and the next one spends its budget.
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
-    apply_call(state, CallIntent(0, 0, CallKind.RANDOM), 0)
-    assert (state._status[0], rules_array(state, "encounters")[0]) == (_INFORMED, 1)
-    apply_call(state, CallIntent(0, 0, CallKind.RANDOM), 1)
-    assert (state._status[0], rules_array(state, "encounters")[0]) == (_STOPPED, 2)
+    apply_call(state, CallIntent(0, 1, CallKind.INITIAL_SUCCESSOR), 0)
+    apply_call(state, CallIntent(1, 2, CallKind.RANDOM), 1)
+    assert (state._status[0], rules_array(state, "encounters")[0]) == (_INFORMED, -1)
+    apply_call(state, CallIntent(0, 2, CallKind.INITIAL_SUCCESSOR), 2)
+    assert (state._status[0], rules_array(state, "encounters")[0]) == (_INFORMED, 0)
+    assert rules_array(state, "next_target")[0] == -1
+    apply_call(state, CallIntent(0, 0, CallKind.RANDOM), 3)
+    assert (state._status[0], rules_array(state, "encounters")[0]) == (_STOPPED, 1)
 
 
 def test_apply_call_crashed_target_costs_no_budget():
@@ -237,7 +245,8 @@ def test_apply_call_crashed_target_costs_no_budget():
     assert state._status[3] == _CRASHED
     record = apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 0)
     assert record.outcome == CallOutcome.CRASHED_TARGET
-    assert rules_array(state, "encounters")[0] == 0
+    # The start is still walking, its free encounter unspent.
+    assert rules_array(state, "encounters")[0] == -1
     assert rules_array(state, "next_target")[0] == 4
     assert state.crashed_target_calls == 1
 
@@ -608,6 +617,29 @@ def test_shuffled_slices_draw_permutations():
         sliced.shuffle(values[offset : offset + k])
         assert np.array_equal(values[offset : offset + k], alone.permutation(k) + offset)
         assert sliced.bit_generator.state == alone.bit_generator.state
+
+
+def test_settle_sees_what_the_log_records(monkeypatch):
+    state = init_simulation(
+        Hybrid(2), 64, 0, seed=5, crash_schedule={i: 3 for i in range(20, 40)}, keep_log=True
+    )
+    settle, seen = state._rules.settle, {}
+
+    def spy(stack, calls, targets, outcomes):
+        seen[state.round + 1] = (calls.caller_ids().copy(), targets.copy(), outcomes.copy())
+        settle(stack, calls, targets, outcomes)
+
+    monkeypatch.setattr(state._rules, "settle", spy)
+    summary = run(state)
+    assert summary.crashed_target_calls > 0 and summary.encounter_calls > 0
+    columns = state.log.columns
+    assert sorted(seen) == sorted(set(columns.round.tolist()))
+    for rnd, (callers, targets, outcomes) in seen.items():
+        rows = np.flatnonzero(columns.round == rnd)
+        rows = rows[np.argsort(columns.caller[rows])]
+        assert np.array_equal(columns.caller[rows], callers), rnd
+        assert np.array_equal(columns.target[rows], targets), rnd
+        assert np.array_equal(columns.outcome[rows], outcomes), rnd
 
 
 def assert_same_independent_lists(kernel_state, reference_state):

@@ -1,6 +1,7 @@
 """Trace re-verification tests: clean traces pass, forged traces are caught."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import pytest
@@ -536,3 +537,25 @@ def test_summary_completion_before_last_round_is_caught():
     assert verify_summary_against_trace(bad, records) == [
         f"completion_round 0 != rounds_executed {summary.rounds_executed}"
     ]
+
+
+def test_summary_of_many_rounds_is_checked_in_linear_time():
+    # The doubling cap 2**t is n from round n.bit_length() on; building each
+    # 2**t would make the check quadratic in the round count.
+    summary, records = logged_run()
+    rounds = 10**5
+    plateau = (summary.per_round_informed[-1],) * (rounds - summary.rounds_executed)
+    long = dataclasses.replace(
+        summary,
+        outcome="capped",
+        completion_round=None,
+        rounds_executed=rounds,
+        per_round_informed=summary.per_round_informed + plateau,
+    )
+    began = time.perf_counter()
+    assert verify_summary_against_trace(long, records) == []
+    over = dataclasses.replace(long, per_round_informed=long.per_round_informed[:-1] + (49,))
+    assert f"round {rounds}: informed count 49 above the doubling cap" in (
+        verify_summary_against_trace(over, records)
+    )
+    assert time.perf_counter() - began < 2.0
