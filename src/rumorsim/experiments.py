@@ -50,7 +50,8 @@ class CrashModel:
     the starting node, crash at round 0 (``at_start``), at one fixed
     round (``fixed_round``), or at independent uniform rounds in
     ``[0, max_round]`` (``uniform_round``; ``max_round`` defaults to the
-    default round cap for the batch's ``n``).
+    default round cap for the batch's ``n``).  Each round field is set
+    only with the timing that reads it.
     """
 
     fraction: float
@@ -73,6 +74,9 @@ class CrashModel:
             value = getattr(self, field)
             if value is not None and value >= 2**63:
                 raise ValueError(f"crash {field} must be below 2**63, got {value}")
+        for field, timing in (("round", TIMING_FIXED_ROUND), ("max_round", TIMING_UNIFORM_ROUND)):
+            if getattr(self, field) is not None and self.timing != timing:
+                raise ValueError(f"crash {field} needs {timing} timing, got {self.timing}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.start < self.n:
             raise ValueError(f"start {self.start} out of range for n={self.n}")
         if self.retention not in (RETAIN_SUMMARY, RETAIN_TRACE):

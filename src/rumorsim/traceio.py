@@ -7,11 +7,14 @@ The call trace is written from a ``CallLog``'s columns and parsed back into
 one by numpy operations over the file's bytes, a block of rows at a time,
 with no Python object per row or per cell.  The writer's bytes are those of
 ``csv.writer`` on the records; each block's bytes go straight to the file.
-The parser fills columns allocated once, with an entry per line.  It
-accepts what the writer writes, plus blank lines and CRLF line ends; a
-row's integers must be plain decimals of at most 18 digits, so every value
-fits in int64 and none is ever clamped.  Any other row is reported, with
-its line number, by the first failing per-row check.
+The parser finds its blocks in one pass over the bytes, which counts the
+lines and notes where every ``_BLOCK_ROWS``-th one ends, and fills columns
+allocated once, with an entry per line.  It accepts what the writer
+writes, plus blank lines and CRLF line ends; a row's integers must be
+plain decimals of at most 18 digits, so every value fits in int64 and none
+is ever clamped.  Any other row is reported, with its line number, by the
+first failing per-row check over the lines of its own block.  The row
+format is stated once, in ``_CELL_NAMES``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .core import (
 TRACE_COLUMNS = CallRecord._fields
 _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
 
-# The text of each kind and outcome code; None marks an integer column.
+# The row format, stated once and read by the writer, the parser and the
+# error path: the text of each kind and outcome code, None for an integer.
 _CELL_NAMES = CallRecord(
     None, None, None, tuple(m.value for m in CallKind), tuple(m.value for m in CallOutcome), None
 )
@@ -55,33 +59,6 @@ _BLOCK_ROWS = 16384
 _LINE_BYTES = sum(
     _MAX_DIGITS if names is None else max(map(len, names)) for names in _CELL_NAMES
 ) + len(_CELL_NAMES) + 1
-
-
-def _member_parser(enum, name: str):
-    """Text -> member of a str-valued enum; ValueError for any other text."""
-    members = {member.value: member for member in enum}
-
-    def parse(text: str):
-        try:
-            return members[text]
-        except KeyError:
-            raise ValueError(f"unknown {name} {text!r}") from None
-
-    return parse
-
-
-# How each column's text becomes its field's value, for the message about
-# an ill-formed row. Built as a CallRecord so each parser is named by its own
-# field (a NamedTuple does not check the annotated field types).
-_FIELD_PARSERS = CallRecord(
-    round=int,
-    caller=int,
-    target=int,
-    kind=_member_parser(CallKind, "kind"),
-    outcome=_member_parser(CallOutcome, "outcome"),
-    serial_position=int,
-)
-
 # A row, blank lines aside, as the bulk parser accepts it.
 _ROW = ",".join(
     f"[0-9]{{1,{_MAX_DIGITS}}}" if names is None else f"(?:{'|'.join(names)})"
@@ -259,53 +236,37 @@ def _parse_trace(data: bytes) -> CallLog:
         raise TraceFormatError(
             f"bad header {header!r}, expected {list(TRACE_COLUMNS)}"
         )
-    # Each line holds at most one row: the columns are allocated once, for
-    # every line, and filled block by block.
-    body, step = np.frombuffer(data, dtype=np.uint8), _BLOCK_ROWS * _LINE_BYTES
-    lines = 1 + sum(np.count_nonzero(body[at : at + step] == _NEWLINE)
-                    for at in range(header_end + 1, len(body), step))
+    # One pass, in fixed slices, counts the lines and notes where every
+    # _BLOCK_ROWS-th one ends.  Each line holds at most one row, so the
+    # columns are allocated once and filled block by block.
+    body, most = np.frombuffer(data, dtype=np.uint8), _BLOCK_ROWS * _LINE_BYTES
+    ends, lines = [header_end + 1], 1
+    for at in range(header_end + 1, len(body), most):
+        newlines = np.flatnonzero(body[at : at + most] == _NEWLINE)
+        # The body's newlines before this slice number lines - 1.
+        ends += (newlines[(-lines) % _BLOCK_ROWS :: _BLOCK_ROWS] + at + 1).tolist()
+        lines += len(newlines)
+    if ends[-1] < len(body):
+        ends.append(len(body))
     columns = CallRecord._make(np.empty(lines, dtype) for dtype in COLUMN_DTYPES)
-    rows, lineno = 0, 2
-    for begin, end, newlines in _line_blocks(body, header_end + 1):
-        block = _parse_rows(body[begin:end], newlines)
+    rows = 0
+    for index, (begin, end) in enumerate(zip(ends, ends[1:])):
+        # A block longer than its lines could be if each were a row holds
+        # a longer line; it fails without being parsed.
+        block = None if end - begin > most else _parse_rows(body[begin:end])
         if block is None:
-            _raise_first_bad_row(data[begin:].decode("utf-8", "replace"), lineno)
+            _raise_first_bad_row(data[begin:end].decode("utf-8", "replace"),
+                                 2 + index * _BLOCK_ROWS)
         for column, values in zip(columns, block):
             column[rows : rows + len(values)] = values
         rows += len(block.round)
-        lineno += len(newlines)
     return CallLog(CallRecord._make(column[:rows] for column in columns))
 
 
-def _line_blocks(body: np.ndarray, begin: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(begin, end, newlines) of each block of ``_BLOCK_ROWS`` lines of
-    ``body`` from ``begin``; ``newlines`` are the block's newline offsets.
-
-    A block ends after its last newline or at the end of ``body``.  Where a
-    block of the longest rows would end first, a line in it is longer than
-    any row, so the block ends there and fails ``_parse_rows``.
-    """
-    most = size = _BLOCK_ROWS * _LINE_BYTES
-    while begin < len(body):
-        # Look first as far as the last block's lines reached, and a half
-        # more; then as far as a block of the longest rows reaches.
-        for size in (size, most):
-            window = body[begin : begin + size]
-            newlines = np.flatnonzero(window == _NEWLINE)[:_BLOCK_ROWS]
-            if len(newlines) == _BLOCK_ROWS or begin + size >= len(body):
-                break
-        end = begin + (int(newlines[-1]) + 1 if len(newlines) == _BLOCK_ROWS else len(window))
-        yield begin, end, newlines
-        size = min(most, (end - begin) * 3 // 2 + _LINE_BYTES)
-        begin = end
-
-
-def _parse_rows(body: np.ndarray, newlines: np.ndarray) -> CallRecord | None:
+def _parse_rows(body: np.ndarray) -> CallRecord | None:
     """Every row's columns at once, or None if any line is not blank and
-    not a row that ``_ROW`` matches with a round of at least 1.
-
-    ``newlines`` are the offsets of the newline bytes in ``body``."""
-    ends = newlines
+    not a row that ``_ROW`` matches with a round of at least 1."""
+    ends = np.flatnonzero(body == _NEWLINE)
     if len(body) and body[-1] != _NEWLINE:
         ends = np.append(ends, len(body))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -362,9 +323,19 @@ def _parse_names(body, starts, ends, names) -> np.ndarray | None:
     return None if (codes < 0).any() else codes
 
 
+def _cell(field: str, names: tuple[str, ...] | None, text: str):
+    """A cell's value for the error path: an integer, or one of its names."""
+    if names is None:
+        return int(text)
+    if text not in names:
+        raise ValueError(f"unknown {field} {text!r}")
+    return text
+
+
 def _raise_first_bad_row(body: str, first_line: int) -> NoReturn:
-    """Raise ``TraceFormatError`` for the first line of ``body``, numbered
-    from ``first_line``, that ``_parse_rows`` rejects."""
+    """Raise ``TraceFormatError`` for the first line of ``body``, a block
+    whose lines are numbered from ``first_line``, that ``_parse_rows``
+    rejects."""
     for lineno, line in enumerate(body.split("\n"), start=first_line):
         line = line[:-1] if line.endswith("\r") else line
         if not line:
@@ -378,9 +349,7 @@ def _raise_first_bad_row(body: str, first_line: int) -> NoReturn:
                 f"line {lineno}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
             )
         try:
-            record = CallRecord._make(
-                [parse(text) for parse, text in zip(_FIELD_PARSERS, row)]
-            )
+            record = CallRecord._make(map(_cell, TRACE_COLUMNS, _CELL_NAMES, row))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
         if record.round < 1 or min(record.caller, record.target, record.serial_position) < 0:

@@ -132,6 +132,39 @@ def test_crash_flags_are_checked_with_no_crashes(subcommand, flags, message, cap
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "8"], ["compare", "--n", "8", "--trials", "2"],
+], ids=["simulate", "compare"])
+@pytest.mark.parametrize("flags, message", [
+    (["--crash-timing", "at_start", "--crash-round", "5", "--crash-max-round", "3"],
+     "crash round needs fixed_round timing, got at_start"),
+    (["--crash-round", "5"], "crash round needs fixed_round timing, got uniform_round"),
+    (["--crash-timing", "at_start", "--crash-max-round", "3"],
+     "crash max_round needs uniform_round timing, got at_start"),
+    (["--crash-timing", "fixed_round", "--crash-round", "5", "--crash-max-round", "3"],
+     "crash max_round needs uniform_round timing, got fixed_round"),
+], ids=["at_start-round", "uniform_round-round", "at_start-max_round", "fixed_round-max_round"])
+def test_crash_round_flags_the_timing_ignores_are_usage_errors(subcommand, flags, message, capsys):
+    assert run_cli(*subcommand, "--rho", "0.5", *flags, "--seed", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "16"], ["compare", "--n", "16", "--trials", "2"],
+    ["sweep", "--n-list", "16", "--R-list", "1", "--trials", "2"],
+], ids=["simulate", "compare", "sweep"])
+def test_negative_seed_is_a_usage_error(subcommand, tmp_path, capsys):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert run_cli(*subcommand, "--seed", "-1") == EXIT_USAGE
+    assert run_cli(*subcommand, "--config", str(config)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: master seed must be >= 0, got -1\n" * 2
+
+
 def test_simulate_writes_trace_and_summary(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"
@@ -695,9 +728,9 @@ def test_config_works_for_bounds(tmp_path, capsys):
     assert out_json(capsys)["max_calls"] == 400
 
 
-# Every flag of each subcommand: dest -> (flag tokens, config value).  All
-# entries of one subcommand together form one valid invocation; output
-# paths are relative, so they land in the run's own $RUMORSIM_OUTPUT_DIR.
+# Every flag of each subcommand but the crash timing and its round flags:
+# dest -> (flag tokens, config value).  Output paths are relative, so they
+# land in the run's own $RUMORSIM_OUTPUT_DIR.
 CONFIG_EQUALS_FLAGS = {
     "simulate": {
         "n": (["--n", "64"], 64),
@@ -706,9 +739,6 @@ CONFIG_EQUALS_FLAGS = {
         "seed": (["--seed", "5"], 5),
         "cap": (["--cap", "40"], 40),
         "rho": (["--rho", "0.25"], 0.25),
-        "crash_timing": (["--crash-timing", "fixed_round"], "fixed_round"),
-        "crash_round": (["--crash-round", "3"], 3),
-        "crash_max_round": (["--crash-max-round", "6"], 6),
         "start": (["--start", "5"], 5),
         "no_self_calls": (["--no-self-calls"], True),
         "trace_out": (["--trace-out", "t.csv"], "t.csv"),
@@ -729,9 +759,6 @@ CONFIG_EQUALS_FLAGS = {
         "seed": (["--seed", "5"], 5),
         "cap": (["--cap", "40"], 40),
         "rho": (["--rho", "0.25"], 0.25),
-        "crash_timing": (["--crash-timing", "uniform_round"], "uniform_round"),
-        "crash_round": (["--crash-round", "3"], 3),
-        "crash_max_round": (["--crash-max-round", "6"], 6),
         "start": (["--start", "5"], 5),
         "out": (["--out", "c.json"], "c.json"),
     },
@@ -743,14 +770,30 @@ CONFIG_EQUALS_FLAGS = {
         "seed": (["--seed", "5"], 5),
         "cap": (["--cap", "40"], 40),
         "rho": (["--rho", "0.25"], 0.25),
-        "crash_timing": (["--crash-timing", "at_start"], "at_start"),
-        "crash_round": (["--crash-round", "3"], 3),
-        "crash_max_round": (["--crash-max-round", "6"], 6),
         "start": (["--start", "5"], 5),
         "format": (["--format", "lines"], "lines"),
         "out": (["--out", "w.txt"], "w.txt"),
     },
 }
+# Each crash timing with the round flag it reads; a subcommand that takes
+# crash flags runs once with each.
+CRASH_TIMING_FLAGS = {
+    "at_start": {},
+    "uniform_round": {"crash_max_round": (["--crash-max-round", "6"], 6)},
+    "fixed_round": {"crash_round": (["--crash-round", "3"], 3)},
+}
+
+
+def config_tables(subcommand):
+    """The subcommand's cases; all entries of one case form one valid
+    invocation."""
+    table = CONFIG_EQUALS_FLAGS[subcommand]
+    if "rho" not in table:  # no crash flags
+        return [table]
+    return [
+        {**table, "crash_timing": (["--crash-timing", timing], timing), **round_flags}
+        for timing, round_flags in CRASH_TIMING_FLAGS.items()
+    ]
 
 
 def _flag_dests(subcommand):
@@ -762,8 +805,14 @@ def _flag_dests(subcommand):
 
 @pytest.mark.parametrize("subcommand", sorted(CONFIG_EQUALS_FLAGS))
 def test_config_equals_flags_for_every_flag(subcommand, tmp_path, capsys, monkeypatch):
-    table = CONFIG_EQUALS_FLAGS[subcommand]
-    assert set(table) == _flag_dests(subcommand)
+    tables = config_tables(subcommand)
+    assert set().union(*tables) == _flag_dests(subcommand)
+    for case, table in enumerate(tables):
+        check_config_equals_flags(subcommand, table, tmp_path / str(case), capsys, monkeypatch)
+
+
+def check_config_equals_flags(subcommand, table, tmp_path, capsys, monkeypatch):
+    tmp_path.mkdir()
 
     def outcome(name, flag_dests, config):
         out_dir = tmp_path / name

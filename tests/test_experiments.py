@@ -48,6 +48,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig(spec=Hybrid(1), n=4, trials=1, master_seed=0, start=4)
     with pytest.raises(ValueError):
         ExperimentConfig(spec=Hybrid(1), n=4, trials=1, master_seed=0, retention="all")
+    with pytest.raises(ValueError, match=r"^master seed must be >= 0, got -1$"):
+        ExperimentConfig(spec=Hybrid(1), n=4, trials=1, master_seed=-1)
 
 
 def test_crash_model_rejects_bad_values():
@@ -65,6 +67,11 @@ def test_crash_model_rejects_bad_values():
         CrashModel(fraction=0.5, timing="fixed_round", round=2**63)
     with pytest.raises(ValueError, match="crash max_round must be below 2"):
         CrashModel(fraction=0.5, max_round=2**63)
+    # A round field is read by one timing alone.
+    with pytest.raises(ValueError, match="^crash round needs fixed_round timing, got at_start$"):
+        CrashModel(fraction=0.5, timing="at_start", round=3)
+    with pytest.raises(ValueError, match="^crash max_round needs uniform_round timing, got f"):
+        CrashModel(fraction=0.5, timing="fixed_round", round=3, max_round=6)
     # Crash rounds are int64: the largest is still a round, one never reached.
     rng = np.random.default_rng(0)
     for model in (CrashModel(0.5, "fixed_round", round=2**63 - 1),

@@ -325,14 +325,25 @@ def test_trace_csv_write_holds_a_few_blocks(large_log, tmp_path):
 
 
 def test_trace_csv_parse_holds_the_file_the_columns_and_a_few_blocks(large_log, tmp_path):
-    path = tmp_path / "t.csv"
+    path, bad = tmp_path / "t.csv", tmp_path / "bad.csv"
     write_trace_csv(large_log, str(path))
-    lines = path.read_bytes().count(b"\n")
+    lines = path.read_bytes().split(b"\n")
+    # The same file with a bad kind on line 4: the error path re-reads
+    # that line's block, not the rest of the file.
+    cells = lines[3].split(b",")
+    cells[3] = b"bogus"
+    bad.write_bytes(b"\n".join(lines[:3] + [b",".join(cells)] + lines[4:]))
+
+    def read_bad():
+        with pytest.raises(TraceFormatError, match="^line 4: unknown kind 'bogus'$"):
+            read_trace_csv(str(bad))
+
     row_bytes = sum(column.itemsize for column in large_log.columns)
-    with block_rows(MEMORY_BLOCK_ROWS):
-        peak = traced_peak(lambda: read_trace_csv(str(path)))
-    beyond = peak - path.stat().st_size - lines * row_bytes
-    assert beyond < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES
+    for file, read in ((path, lambda: read_trace_csv(str(path))), (bad, read_bad)):
+        with block_rows(MEMORY_BLOCK_ROWS):
+            peak = traced_peak(read)
+        beyond = peak - file.stat().st_size - (len(lines) - 1) * row_bytes
+        assert beyond < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES, file.name
 
 
 # -------------------------------------------------------------- summary JSON
