@@ -51,6 +51,16 @@ value the caller already holds, would.
 A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
 which the round kernel appends each round's arrays at once.  A
 ``CallRecord`` is built only when the log is indexed or iterated.
+
+Node ids, stack entries and serial positions fit int32, as a stack holds
+at most ``MAX_STACK_NODES`` (2**31 - 1) nodes and refuses more.  So every
+per-node array is int32 or narrower (the status is int8), and so are the
+round's target ids and the first-writer scratch with the serial positions
+scattered into it.  Three stay int64.  The callers and the serialization
+``order`` index other arrays, and numpy casts a narrower index on every
+fancy index; ``shuffle`` is also fastest on 8-byte items.  A kept log's
+id columns are widened once per round, so the trace writer and the
+verifier read int64 as before.
 """
 
 from __future__ import annotations
@@ -88,7 +98,11 @@ RUN_CAPPED = "capped"
 _UNINFORMED, _INFORMED, _STOPPED, _CRASHED = 0, 1, 2, 3
 _K_INITIAL, _K_SEQUENTIAL, _K_RANDOM = 0, 1, 2
 _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
-_NO_SERIAL = np.iinfo(np.int64).max
+_NO_SERIAL = np.iinfo(np.int32).max
+
+# Most nodes in one stack: node ids, stack entries and serial positions are
+# held as int32.
+MAX_STACK_NODES = 2**31 - 1
 
 # Code -> member tables; each enum's declaration order is its code order.
 _KIND_ENUM = tuple(CallKind)
@@ -227,7 +241,7 @@ class _Calls:
 
     def __init__(self, stack: _Stack, worlds, bounds: list[int], callers: np.ndarray):
         self.worlds, self.bounds, self.callers = worlds, bounds, callers
-        bases = np.array([world._base for world in worlds], dtype=np.int64)
+        bases = np.array([world._base for world in worlds], dtype=np.int32)
         self.starts = bases + stack.start
         # Each call's world's first entry; in a one-world stack, 0.
         self._offsets = None if stack.count == 1 else np.repeat(bases, np.diff(bounds))
@@ -251,13 +265,13 @@ def _draw_integers(calls: _Calls, high: int, picked: np.ndarray | None = None) -
     its picked calls, in caller order; a world with none draws nothing."""
     bounds = calls.bounds if picked is None else picked.searchsorted(calls.bounds).tolist()
     parts = [
-        world.rng.integers(0, high, size=b - a)
+        world.rng.integers(0, high, size=b - a, dtype=np.int32)
         for world, a, b in zip(calls.worlds, bounds, bounds[1:])
         if b > a
     ]
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
 
 def _random_targets(stack: _Stack, calls: _Calls, picked: np.ndarray | None = None) -> np.ndarray:
@@ -313,8 +327,8 @@ class _HybridRules(_Rules):
 
     def __init__(self, spec, n, entries):
         self.stop_budget = spec.stop_budget
-        self.next_target = np.full(entries, -1, dtype=np.int64)
-        self.encounters = np.zeros(entries, dtype=np.int64)
+        self.next_target = np.full(entries, -1, dtype=np.int32)
+        self.encounters = np.zeros(entries, dtype=np.int32)
 
     def setup(self, state):
         entry = state._base + state.start
@@ -359,7 +373,7 @@ class _SharedListRules(_Rules):
     ``next_target`` is -1 until a node draws its position."""
 
     def __init__(self, spec, n, entries):
-        self.next_target = np.full(entries, -1, dtype=np.int64)
+        self.next_target = np.full(entries, -1, dtype=np.int32)
 
     def setup(self, state):
         # The start picks its position on the shared list up front.
@@ -395,7 +409,7 @@ class _IndependentListRules(_Rules):
     def __init__(self, spec, n, entries):
         self.n = n
         self.drawn = np.full((entries, 0), -1, dtype=np.int32)
-        self.list_index = np.zeros(entries, dtype=np.int64)
+        self.list_index = np.zeros(entries, dtype=np.int32)
 
     def _widen(self, width: int) -> None:
         rows, old = self.drawn.shape
@@ -430,7 +444,7 @@ class _IndependentListRules(_Rules):
         while pos < m:
             end = min(pos + self.CHUNK, m)
             if len(stream) < end - pos:
-                fresh = rng.integers(0, self.n, size=end - pos - len(stream)).astype(np.int32)
+                fresh = rng.integers(0, self.n, size=end - pos - len(stream), dtype=np.int32)
                 stream = np.concatenate((stream, fresh))
             block = stream[: end - pos]
             # Each caller's own entry (column ``idx``) is still -1, so the
@@ -450,7 +464,7 @@ class _IndependentListRules(_Rules):
     def draw(self, stack, calls):
         callers = calls.callers
         idx = self.list_index[callers]
-        targets = np.empty(len(callers), dtype=np.int64)
+        targets = np.empty(len(callers), dtype=np.int32)
         for world, a, b in zip(calls.worlds, calls.bounds, calls.bounds[1:]):
             targets[a:b] = self._draw_fresh(world.rng, callers[a:b], idx[a:b])
         return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
@@ -497,7 +511,7 @@ class _Stack:
         size = count * n
         self._status = np.zeros(size, dtype=np.int8)
         # The round kernel's first-writer scratch; all sentinel between rounds.
-        self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int64)
+        self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int32)
 
 
 class SimulationState:
@@ -582,6 +596,11 @@ def init_stack(
         raise ValueError(f"start {start} out of range for n={n}")
     if len(seeds) == 0 or len(crash_schedules) != len(seeds):
         raise ValueError("need one or more seeds and one crash schedule per seed")
+    if len(seeds) * n > MAX_STACK_NODES:
+        raise ValueError(
+            f"{len(seeds)} worlds of n={n} make {len(seeds) * n} stacked nodes,"
+            f" more than {MAX_STACK_NODES}"
+        )
     stack = _Stack(spec, n, start, allow_self_calls, len(seeds))
     return [
         SimulationState(stack, index, seed, schedule, keep_log)
@@ -617,6 +636,47 @@ def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
     if len(bounds) == 2:
         return [int(np.count_nonzero(mask))]
     return np.add.reduceat(mask, bounds[:-1], dtype=np.int64).tolist()
+
+
+def _resolve(stack: _Stack, entries: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The int8 outcome codes of the round's calls, given their target
+    entries in caller order and their serialization ``order``; marks the
+    targets they inform.
+
+    Targets crashed before the round stay crashed; among calls to targets
+    uninformed at round start, the first at each target in serial order
+    informs it, later ones find it already informed.  The temporaries die
+    on return, before ``settle`` allocates its own.
+    """
+    t_status = stack._status[entries]
+    # Serial positions as int32, the scratch's dtype: ``np.minimum.at``
+    # takes its fast path only when the two match.
+    open_serial = np.flatnonzero((t_status == _UNINFORMED)[order]).astype(np.int32)
+    open_calls = order[open_serial]
+    open_targets = entries[open_calls]
+    first = stack._first_serial
+    np.minimum.at(first, open_targets, open_serial)
+    winners = open_calls[first[open_targets] == open_serial]
+    first[open_targets] = _NO_SERIAL
+    # Every call is an encounter, or a crashed-target call where its target
+    # had crashed (``_O_CRASHED`` is ``_O_ALREADY + 1``), unless it informs.
+    outcomes = np.add(t_status == _CRASHED, _O_ALREADY, dtype=np.int8)
+    outcomes[winners] = _O_INFORMED
+    stack._status[entries[winners]] = _INFORMED
+    return outcomes
+
+
+def _log_rows(calls: _Calls, serial, executed_round, targets, kinds, outcomes) -> CallRecord:
+    """One world's calls of the round as log columns in serial order, given
+    its calls' indices in that order; ids widen to the log's int64."""
+    return CallRecord(
+        np.full(len(serial), executed_round, dtype=np.int64),
+        calls.caller_ids(serial),
+        targets[serial].astype(np.int64),
+        kinds[serial],
+        outcomes[serial],
+        np.arange(len(serial), dtype=np.int64),
+    )
 
 
 def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
@@ -672,24 +732,15 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     for world, a, b in zip(calling, bounds, bounds[1:]):
         world.rng.shuffle(order[a:b])
 
-    # Outcomes: targets crashed before the round stay crashed; among calls
-    # to targets uninformed at round start, the first at each target in
-    # serial order informs it, later ones find it already informed.
-    entries = calls.entries(targets)
-    t_status = stack._status[entries]
-    open_serial = np.flatnonzero((t_status == _UNINFORMED)[order])
-    open_calls = order[open_serial]
-    open_targets = entries[open_calls]
-    first = stack._first_serial
-    np.minimum.at(first, open_targets, open_serial)
-    winners = open_calls[first[open_targets] == open_serial]
-    first[open_targets] = _NO_SERIAL
-    # Every call is an encounter, or a crashed-target call where its target
-    # had crashed (``_O_CRASHED`` is ``_O_ALREADY + 1``), unless it informs.
-    outcomes = np.add(t_status == _CRASHED, _O_ALREADY, dtype=np.int8)
-    outcomes[winners] = _O_INFORMED
-
-    stack._status[entries[winners]] = _INFORMED
+    outcomes = _resolve(stack, calls.entries(targets), order)
+    for world, a, b in zip(calling, bounds, bounds[1:]):
+        if world.log is not None:
+            world.log.append_columns(
+                _log_rows(calls, order[a:b], executed_round, targets, kinds, outcomes)
+            )
+    # Settle with the serialization freed: together they would set the
+    # round's peak memory.
+    del order
     stack._rules.settle(stack, calls, targets, outcomes)
 
     informs = _per_world_counts(outcomes == _O_INFORMED, bounds)
@@ -700,18 +751,6 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         world.encounter_calls += b - a - informed - crashed
         world.crashed_target_calls += crashed
         world._live_uninformed -= informed
-        if world.log is not None:
-            serial = order[a:b]
-            world.log.append_columns(
-                CallRecord(
-                    np.full(b - a, executed_round, dtype=np.int64),
-                    calls.caller_ids(serial),
-                    targets[serial],
-                    kinds[serial],
-                    outcomes[serial],
-                    np.arange(b - a, dtype=np.int64),
-                )
-            )
         world._finish_round(executed_round, informed)
     return stalled
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import lower_bound_rounds, max_total_calls, upper_bound_rounds
 from .core import (
+    MAX_STACK_NODES,
     RUN_CAPPED,
     RUN_COMPLETED,
     RUN_STALLED,
@@ -97,6 +98,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        # A batch stacks at most max(n, _STACK_NODES) nodes; refuse here,
+        # before a crash schedule of O(n) is drawn.
+        if self.n > MAX_STACK_NODES:
+            raise ValueError(f"n must be at most {MAX_STACK_NODES}, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:

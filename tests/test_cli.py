@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,31 @@ def test_crash_round_flags_the_timing_ignores_are_usage_errors(subcommand, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "2147483648"], ["compare", "--n", "2147483648", "--trials", "2"],
+    ["sweep", "--n-list", "2147483648", "--R-list", "1", "--trials", "2"],
+], ids=["simulate", "compare", "sweep"])
+@pytest.mark.parametrize("crashes", [[], ["--rho", "0.5"]], ids=["no-crashes", "crashes"])
+def test_n_beyond_int32_is_refused_before_allocating(subcommand, crashes, monkeypatch, capsys):
+    # Node ids are int32.  A stack or a crash schedule reached fails the
+    # test instead of allocating 2**31 nodes.
+    def allocate(*args):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr("rumorsim.core._Stack", allocate)
+    monkeypatch.setattr(experiments, "generate_crash_schedule", allocate)
+    tracemalloc.start()
+    try:
+        assert run_cli(*subcommand, *crashes, "--seed", "1") == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be at most 2147483647, got 2147483648\n"
 
 
 @pytest.mark.parametrize("subcommand", [

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim.core import (
+    COLUMN_DTYPES,
     _CRASHED,
     _INFORMED,
     _NO_SERIAL,
@@ -33,7 +34,13 @@ from rumorsim.core import (
     run,
     run_stack,
 )
-from rumorsim.experiments import CrashModel, generate_crash_schedule
+from rumorsim.experiments import (
+    CrashModel,
+    ExperimentConfig,
+    build_trial_state,
+    generate_crash_schedule,
+    run_trials,
+)
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
@@ -619,6 +626,69 @@ def test_shuffled_slices_draw_permutations():
         assert sliced.bit_generator.state == alone.bit_generator.state
 
 
+@pytest.mark.parametrize("high", [1, 2, 10, 2**20 - 1, 2**20, 2**31 - 1])
+@pytest.mark.parametrize("m", [0, 1, 1000])
+def test_int32_draws_match_int64_draws(high, m):
+    # The kernel draws its target ids as int32; every frozen stream holds
+    # only if that yields the int64 draw's values and leaves its state.
+    wide, narrow = np.random.default_rng(high + m), np.random.default_rng(high + m)
+    expected = wide.integers(0, high, size=m)
+    drawn = narrow.integers(0, high, size=m, dtype=np.int32)
+    where = f"numpy {np.__version__}, high={high}, m={m}"
+    assert drawn.dtype == np.int32, where
+    assert np.array_equal(drawn, expected), f"int32 draws differ on {where}"
+    assert narrow.bit_generator.state == wide.bit_generator.state, (
+        f"int32 draws leave another generator state on {where}"
+    )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_kept_logs_hold_the_column_dtypes(spec):
+    # The kernel's ids are int32; a kept log widens them once, so the
+    # trace writer and the verifier see the log's own dtypes.
+    crash = CrashModel(0.2, "at_start")
+    config = ExperimentConfig(spec, 64, 40, 3, crash=crash, retention="trace")
+    alone = build_trial_state(config, 0)
+    run(alone)
+    for log in (alone.log, *run_trials(config).traces):
+        assert len(log) > 0
+        assert [column.dtype for column in log.columns] == list(map(np.dtype, COLUMN_DTYPES))
+
+
+def test_budget_beyond_int32_never_stops_a_caller():
+    # Encounter counts are int32 and compared with the budget as it is:
+    # neither budget is reached, so the runs are alike.
+    config = ExperimentConfig(Hybrid(10**6), 64, 40, 5, crash=CrashModel(0.1))
+    huge = ExperimentConfig(Hybrid(2**40), 64, 40, 5, crash=CrashModel(0.1))
+    assert run_trials(huge).summaries == run_trials(config).summaries
+    state = build_trial_state(huge, 0)
+    assert run(state) == run(build_trial_state(config, 0))
+    assert not (state._stack._status == _STOPPED).any()
+
+
+def test_oversized_stack_is_refused_before_allocating(monkeypatch):
+    # Stack entries are int32.  The refusal comes before any O(n) array:
+    # a stack reaching its allocation fails the test instead.
+    def allocate(*args):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr("rumorsim.core._Stack", allocate)
+    seeds = [0] * 2**15
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 2147483647$"):
+            init_stack(Hybrid(2), 2**16, 0, seeds, seeds)
+        with pytest.raises(ValueError, match="more than 2147483647$"):
+            init_simulation(FullyRandomPush(), 2**31, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The largest stack passes the check.
+    with pytest.raises(AssertionError, match="allocated"):
+        init_stack(Hybrid(2), 2**16 - 1, 0, seeds, seeds)
+
+
 def test_settle_sees_what_the_log_records(monkeypatch):
     state = init_simulation(
         Hybrid(2), 64, 0, seed=5, crash_schedule={i: 3 for i in range(20, 40)}, keep_log=True
@@ -727,11 +797,11 @@ def test_round_allocates_no_per_node_array():
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (Hybrid(4), 26), (FullyRandomPush(), 10), (Quasirandom("identical"), 18),
+    (Hybrid(4), 14), (FullyRandomPush(), 6), (Quasirandom("identical"), 10),
 ], ids=str)
 def test_world_state_bytes_per_node(spec, bound):
-    # int8 status and int64 first-writer scratch: 9 bytes per node; the
-    # rules add an int64 next target (hybrid and identical lists) and
+    # int8 status and int32 first-writer scratch: 5 bytes per node; the
+    # rules add an int32 next target (hybrid and identical lists) and
     # encounter count (hybrid), and nothing for push.
     n = 2**20
     # The first generator of a process imports about 0.7 MB of numpy
@@ -744,6 +814,28 @@ def test_world_state_bytes_per_node(spec, bound):
     finally:
         tracemalloc.stop()
     del state
+    assert peak / n <= bound
+
+
+@pytest.mark.parametrize("spec, bound", [
+    (Hybrid(4), 45), (FullyRandomPush(), 31.5), (Quasirandom("identical"), 36),
+    (Quasirandom("independent"), 200),
+], ids=str)
+def test_run_peak_bytes_per_node(spec, bound):
+    # The traced peak of a whole run, its state included, measured at
+    # 41.6 / 29.1 / 33.1 / 185.1 bytes per node; each bound leaves under
+    # 10% headroom.  The peak round holds the int64 callers, the int32
+    # targets and the outcome codes while ``settle`` allocates, or the
+    # serialization while the first writers are resolved; independent
+    # lists add their int32 table of drawn prefixes.
+    n = 2**18
+    init_simulation(spec, 1, seed=0)
+    tracemalloc.start()
+    try:
+        run(init_simulation(spec, n, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak / n <= bound
 
 

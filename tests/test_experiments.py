@@ -50,6 +50,9 @@ def test_config_rejects_bad_values():
         ExperimentConfig(spec=Hybrid(1), n=4, trials=1, master_seed=0, retention="all")
     with pytest.raises(ValueError, match=r"^master seed must be >= 0, got -1$"):
         ExperimentConfig(spec=Hybrid(1), n=4, trials=1, master_seed=-1)
+    # Node ids are int32.
+    with pytest.raises(ValueError, match=r"^n must be at most 2147483647, got 2147483648$"):
+        ExperimentConfig(spec=Hybrid(1), n=2**31, trials=1, master_seed=0)
 
 
 def test_crash_model_rejects_bad_values():

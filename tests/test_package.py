@@ -4,6 +4,8 @@ import ast
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import rumorsim
 import rumorsim.core
 import rumorsim.verify
@@ -101,6 +103,29 @@ def test_every_per_node_array_is_read():
             and id(node) not in skipped}
     unread = {name: sorted(arrays - read) for name, arrays in allocated.items()}
     assert {name: arrays for name, arrays in unread.items() if arrays} == {}
+
+
+def test_per_node_arrays_are_at_most_four_bytes_wide():
+    # Node ids, stack entries and serial positions fit int32: an array of
+    # the stack or of a protocol's rules widened to int64 would double its
+    # bytes per node.  Checked after a run too, as rules may grow arrays.
+    n, count = 64, 3
+    for name in PROTOCOL_NAMES:
+        spec = protocol_from_name(name, 2 if name == "hybrid" else None)
+        worlds = rumorsim.core.init_stack(spec, n, 0, list(range(count)), [None] * count)
+        stack = worlds[0]._stack
+        for ran in (False, True):
+            if ran:
+                rumorsim.core.run_stack(worlds)
+            arrays = {
+                f"{type(owner).__name__}.{attr}": value
+                for owner in (stack, stack._rules)
+                for attr, value in vars(owner).items()
+                if isinstance(value, np.ndarray) and value.shape[:1] == (count * n,)
+            }
+            assert {"_Stack._status", "_Stack._first_serial"} <= set(arrays)
+            wide = {key: str(value.dtype) for key, value in arrays.items() if value.itemsize > 4}
+            assert wide == {}, (name, ran)
 
 
 def test_sources_parse_as_python_3_10():
