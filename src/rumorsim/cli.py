@@ -11,8 +11,9 @@ as the flag would be: on/off flags take ``true``/``false``; list flags take
 an array or a comma string; every other flag takes a string or a number,
 never a boolean.  ``null`` leaves the flag unset.
 
-Exit codes: 0 success, 1 usage or ill-formed input, 2 simulation stall,
-3 round cap exhausted, 4 invariant violation found by ``trace``.
+Exit codes: 0 success, 1 usage or ill-formed input (or out of memory),
+2 simulation stall, 3 round cap exhausted, 4 invariant violation found by
+``trace``.
 """
 
 from __future__ import annotations
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -498,12 +498,6 @@ class SweepResult:
 
     ROW_HEADER = ("n", "protocol", "stop_budget", "statistic", "value")
 
-    def cell_stats(self, n: int, spec: ProtocolSpec) -> SampleStats:
-        for cell, stat in zip(self.cells, self.stats):
-            if cell.n == n and cell.spec == spec:
-                return stat
-        raise KeyError(f"no sweep cell for n={n}, spec={spec!r}")
-
     def rows(self) -> list[tuple]:
         """One row per (cell, statistic) for the delimited table export."""
         out = []

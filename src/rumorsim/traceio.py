@@ -77,14 +77,8 @@ def round6(value: float) -> float:
 
 def json_value(value):
     """Make a value JSON-clean: floats at six significant digits."""
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float):
         return round6(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -195,21 +189,13 @@ def _trace_pieces(records: Sequence[CallRecord]) -> Iterator[bytes]:
         yield _format_rows(CallRecord._make(column[begin : begin + _BLOCK_ROWS] for column in columns))
 
 
-def format_trace_csv(records: Sequence[CallRecord]) -> str:
-    """The trace CSV of a ``CallLog`` or of any sequence of records."""
-    return b"".join(_trace_pieces(records)).decode("ascii")
-
-
 def write_trace_csv(records: Sequence[CallRecord], path: str) -> str:
+    """Write the trace CSV of a ``CallLog`` or of any sequence of records."""
     return _write_bytes(path, _trace_pieces(records))
 
 
-def parse_trace_csv(text: str) -> CallLog:
-    """The ``CallLog`` of a trace CSV; ``TraceFormatError`` if ill-formed."""
-    return _parse_trace(text.encode())
-
-
 def read_trace_csv(path: str) -> CallLog:
+    """The ``CallLog`` of a trace CSV file; ``TraceFormatError`` if ill-formed."""
     # Mapped, not read into one heap block: where the heap had room for tens
     # of MB would otherwise set the process's peak memory.
     try:

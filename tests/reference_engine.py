@@ -2,15 +2,14 @@
 
 ``execute_round_reference`` collects a round's intents, draws the same
 serialization permutation as ``core.execute_round``, and applies the calls
-one by one through ``apply_call``.  ``apply_call`` states every protocol's
-per-call transition rules on its own; it shares no state-update code with
-the kernel's rules objects.  The draw step is shared for every protocol but
-independent lists, because the order of random draws is the
-reproducibility contract both engines meet.  Independent lists draw one
-scalar per caller here, with a redraw on each value the caller's list
-already holds, and keep the lists in a store of their own
-(``reference_drawn``), so the kernel's block draw is checked against code
-it does not share.
+one by one through ``apply_call``.  ``collect_intents`` and ``apply_call``
+state every protocol's per-call draw and transition rules on their own;
+they share no draw or state-update code with the kernel's rules objects.
+The order of random draws is the reproducibility contract both engines
+meet: here each caller that needs a random value draws one scalar, in
+ascending caller order, where the kernel draws a block.  Independent lists
+redraw each value the caller's list already holds, and keep the lists in a
+store of their own (``reference_drawn``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from rumorsim.core import (
     _CRASHED,
     _INFORMED,
-    _KIND_ENUM,
     _O_ALREADY,
     _O_CRASHED,
     _O_INFORMED,
@@ -33,7 +31,6 @@ from rumorsim.core import (
     CallOutcome,
     CallRecord,
     SimulationState,
-    _Calls,
     _empty_round,
 )
 
@@ -52,25 +49,45 @@ def collect_intents(state: SimulationState) -> list[CallIntent]:
     """The round's calls before serialization, one per eligible caller.
 
     Eligible callers are the nodes informed in an earlier round that have
-    neither stopped nor crashed.  Their targets are drawn by the kernel's
-    own draw step, advancing the state RNG; within a round this runs
-    exactly once, as the first step of a round.  Independent lists draw
-    through ``independent_list_target`` instead.
+    neither stopped nor crashed.  Each caller's target and kind follow the
+    README's protocol table; a caller that needs a random value draws it
+    from the state RNG, in ascending caller order.  Within a round this
+    runs exactly once, as the first step of a round.
     """
-    callers = np.nonzero(state._status == _INFORMED)[0]
-    if len(callers) == 0:
-        return []
-    if state.spec.name == "quasirandom-independent":
-        return [
-            CallIntent(caller, independent_list_target(state, caller), CallKind.SEQUENTIAL)
-            for caller in callers.tolist()
-        ]
-    calls = _Calls(state._stack, [state], [0, len(callers)], callers + state._base)
-    targets, kinds = state._rules.draw(state._stack, calls)
-    return [
-        CallIntent(int(c), int(t), _KIND_ENUM[k])
-        for c, t, k in zip(callers, targets, kinds)
-    ]
+    callers = np.nonzero(state._status == _INFORMED)[0].tolist()
+    return [CallIntent(caller, *_target_and_kind(state, caller)) for caller in callers]
+
+
+def _target_and_kind(state: SimulationState, caller: int) -> tuple[int, CallKind]:
+    name = state.spec.name
+    if name == "push":
+        return random_target(state, caller), CallKind.RANDOM
+    if name == "quasirandom-independent":
+        return independent_list_target(state, caller), CallKind.SEQUENTIAL
+    entry = state._base + caller
+    target = int(state._rules.next_target[entry])
+    if name == "quasirandom-identical":
+        # A node informed by a call enters the shared list at a uniformly
+        # random position at its first call.
+        if target < 0:
+            target = int(state.rng.integers(0, state.n))
+        return target, CallKind.SEQUENTIAL
+    # Hybrid: a pending node (next target -1) restarts at a random target,
+    # and a walker calls its next target.  The start alone begins one
+    # encounter in debt; until that encounter it walks its own successors.
+    if target < 0:
+        return random_target(state, caller), CallKind.RANDOM
+    if state._rules.encounters[entry] < 0:
+        return target, CallKind.INITIAL_SUCCESSOR
+    return target, CallKind.SEQUENTIAL
+
+
+def random_target(state: SimulationState, caller: int) -> int:
+    """A uniformly random node; with self-calls off, one of the other n - 1."""
+    if state._stack.allow_self_calls:
+        return int(state.rng.integers(0, state.n))
+    target = int(state.rng.integers(0, state.n - 1))
+    return target + (target >= caller)
 
 
 def reference_drawn(state: SimulationState) -> dict[int, list[int]]:

@@ -360,8 +360,9 @@ def test_10_budget_round_tradeoff(tradeoff):
     assert payload["stop_budgets"] == list(SWEEP_BUDGETS)
     floor = payload["gap_floor"]
     small, large = SWEEP_BUDGETS
-    mean_small = tradeoff.cell_stats(SWEEP_N, Hybrid(small)).completion_rounds.mean
-    mean_large = tradeoff.cell_stats(SWEEP_N, Hybrid(large)).completion_rounds.mean
+    means = {(cell.n, cell.spec): stat.completion_rounds.mean
+             for cell, stat in zip(tradeoff.cells, tradeoff.stats)}
+    mean_small, mean_large = means[SWEEP_N, Hybrid(small)], means[SWEEP_N, Hybrid(large)]
     gap = mean_small - mean_large
     ok = mean_small > mean_large and gap >= floor
     _verdict(

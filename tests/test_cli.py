@@ -178,6 +178,32 @@ def test_n_beyond_int32_is_refused_before_allocating(subcommand, crashes, monkey
 
 
 @pytest.mark.parametrize("subcommand", [
+    ["simulate", "--n", "2147483647", "--protocol", "push", "--cap", "0"],
+    ["compare", "--n", "2147483647", "--trials", "2"],
+    ["sweep", "--n-list", "2147483647", "--R-list", "1", "--trials", "2"],
+], ids=["simulate", "compare", "sweep"])
+def test_out_of_memory_is_an_error_not_a_traceback(subcommand, monkeypatch, capsys):
+    # An n that fits int32 but not in memory; the stack's allocation fails
+    # as numpy's would, without allocating.
+    message = "Unable to allocate 8.00 GiB for an array with shape (2147483647,) and data type int32"
+
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("rumorsim.core._Stack", allocate)
+    tracemalloc.start()
+    try:
+        assert run_cli(*subcommand, "--seed", "1") == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", [
     ["simulate", "--n", "16"], ["compare", "--n", "16", "--trials", "2"],
     ["sweep", "--n-list", "16", "--R-list", "1", "--trials", "2"],
 ], ids=["simulate", "compare", "sweep"])
@@ -695,6 +721,55 @@ def test_trace_with_huge_n_verifies(trace_files, capsys, n):
     doc = out_json(capsys)
     assert doc["n"] == int(n)
     assert doc["violations"] == ["round 9 serial 18: caller 3 walks to 0, expected 64 after 63"]
+
+
+# An n or a start beyond int64 is compared with the trace's int64 ids
+# without overflow; each run reports in full.
+NEVER_INFORMED = "caller 0 was never informed"
+NOT_INFORMED = "already-informed outcome but target 0 is not"
+
+
+@pytest.mark.parametrize("protocol, n, start, checked, violations", [
+    # Node 15's successor is 16 at this n, so the walk that wraps to 0 at
+    # 16 nodes is flagged.
+    ("hybrid", 2**63, 0, 40,
+     ["round 4 serial 2: caller 1 walks to 0, expected 16 after 15"]),
+    ("push", 2**63, 0, 73, []),
+    # The start is 2^63, not node 0, whose calls and wraps are flagged.
+    ("quasirandom-identical", 2**63 + 1, 2**63, 85, [
+        f"round 1 serial 0: {NEVER_INFORMED}", f"round 2 serial 0: {NEVER_INFORMED}",
+        f"round 3 serial 2: {NEVER_INFORMED}", f"round 3 serial 2: {NOT_INFORMED}",
+        f"round 4 serial 3: {NEVER_INFORMED}", f"round 5 serial 2: {NEVER_INFORMED}",
+        f"round 5 serial 7: {NOT_INFORMED}", f"round 6 serial 1: {NEVER_INFORMED}",
+        f"round 6 serial 8: {NOT_INFORMED}", f"round 7 serial 4: {NOT_INFORMED}",
+        f"round 7 serial 5: {NEVER_INFORMED}", f"round 8 serial 4: {NEVER_INFORMED}",
+        f"round 9 serial 5: {NEVER_INFORMED}", f"round 10 serial 13: {NEVER_INFORMED}",
+        "round 3 serial 2: caller 0 walks to 0, expected 16 after 15",
+        "round 5 serial 7: caller 5 walks to 0, expected 16 after 15",
+        "round 7 serial 4: caller 8 walks to 0, expected 16 after 15",
+    ]),
+    ("quasirandom-independent", 2**63 + 1, 2**63, 74, [
+        f"round 1 serial 0: {NEVER_INFORMED}", f"round 2 serial 1: {NEVER_INFORMED}",
+        f"round 3 serial 1: {NOT_INFORMED}", f"round 3 serial 2: {NEVER_INFORMED}",
+        f"round 4 serial 1: {NEVER_INFORMED}", f"round 5 serial 1: {NOT_INFORMED}",
+        f"round 5 serial 3: {NEVER_INFORMED}", f"round 5 serial 3: {NOT_INFORMED}",
+        f"round 6 serial 9: {NEVER_INFORMED}", f"round 7 serial 10: {NOT_INFORMED}",
+        f"round 7 serial 11: {NEVER_INFORMED}", f"round 7 serial 12: {NOT_INFORMED}",
+        f"round 8 serial 1: {NEVER_INFORMED}", f"round 9 serial 7: {NEVER_INFORMED}",
+    ]),
+], ids=["hybrid", "push", "identical", "independent"])
+def test_trace_with_n_beyond_int64(tmp_path, capsys, protocol, n, start, checked, violations):
+    trace = tmp_path / "t.csv"
+    budget = ["--R", "2"] if protocol == "hybrid" else []
+    run_cli("simulate", "--n", "16", "--seed", "1", "--protocol", protocol, *budget,
+            "--trace-out", str(trace))
+    capsys.readouterr()
+    code = run_cli("trace", str(trace), "--protocol", protocol, *budget,
+                   "--n", str(n), "--start", str(start), "--no-crashes")
+    assert code == (EXIT_VIOLATION if violations else EXIT_OK)
+    doc = {"records_checked": checked, "n": n, "start": start, "ok": not violations,
+           "violations": violations}
+    assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", "")
 
 
 # -------------------------------------------------------------- config files

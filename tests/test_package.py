@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+from collections import Counter
 
 import numpy as np
 
@@ -126,6 +127,43 @@ def test_per_node_arrays_are_at_most_four_bytes_wide():
             assert {"_Stack._status", "_Stack._first_serial"} <= set(arrays)
             wide = {key: str(value.dtype) for key, value in arrays.items() if value.itemsize > 4}
             assert wide == {}, (name, ran)
+
+
+def _used_names(tree) -> Counter:
+    """How often each name is read as a name or an attribute under ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(tree):
+    """Each public function and class of a module, and each public method
+    of its public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # The package keeps no entry point that only the tests call: each
+    # public name is exported, read somewhere in the package other than in
+    # its own definition, or read by a demo or the benchmark.
+    package = pathlib.Path(rumorsim.__file__).parent
+    repo = pathlib.Path(__file__).parents[1]
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    in_package = sum(map(_used_names, trees.values()), Counter())
+    outside = sum((_used_names(ast.parse(path.read_text()))
+                   for folder in ("demos", "perfbench") for path in (repo / folder).glob("*.py")),
+                  Counter())
+    unused = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items() for node in _public_definitions(tree)
+        if node.name not in rumorsim.__all__ and not outside[node.name]
+        and in_package[node.name] == _used_names(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_sources_parse_as_python_3_10():

@@ -5,6 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
+import tempfile
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -20,9 +24,7 @@ from rumorsim.traceio import (
     format_json,
     format_jsonl,
     format_rows_csv,
-    format_trace_csv,
     json_value,
-    parse_trace_csv,
     read_summary_json,
     read_trace_csv,
     resolve_output_path,
@@ -79,12 +81,24 @@ def test_format_jsonl_one_object_per_line():
 
 
 # ---------------------------------------------------------------- trace CSV
+# Every trace goes through files, as ``simulate --trace-out`` writes them
+# and ``trace`` maps them back.
 
 
-def test_trace_csv_round_trip():
-    _, records = sample_run()
-    text = format_trace_csv(records)
-    assert parse_trace_csv(text) == records
+def written_text(records) -> str:
+    """The text of the trace CSV file that ``write_trace_csv`` writes."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "trace.csv")
+        write_trace_csv(records, str(path))
+        return path.read_bytes().decode("ascii")
+
+
+def read_text(text: str):
+    """The ``CallLog`` that ``read_trace_csv`` reads from a file of ``text``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "trace.csv")
+        path.write_bytes(text.encode())
+        return read_trace_csv(str(path))
 
 
 def test_trace_csv_file_round_trip(tmp_path):
@@ -98,14 +112,15 @@ def test_trace_csv_file_round_trip(tmp_path):
 
 def test_trace_csv_header_first_line():
     _, records = sample_run()
-    first = format_trace_csv(records).splitlines()[0]
+    first = written_text(records).splitlines()[0]
     assert first == "round,caller,target,kind,outcome,serial_position"
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("", "empty trace"),
+        # An empty file cannot be mapped, so it is read.
+        ("", "^empty trace file$"),
         ("wrong,header\n", "bad header"),
         ("round,caller,target,kind,outcome,serial_position\n1,2\n", "expected 6 fields"),
         (
@@ -134,7 +149,7 @@ def test_trace_csv_header_first_line():
 )
 def test_trace_csv_rejects_ill_formed_input(text, message):
     with pytest.raises(TraceFormatError, match=message):
-        parse_trace_csv(text)
+        read_text(text)
 
 
 def test_read_trace_csv_missing_file():
@@ -142,12 +157,27 @@ def test_read_trace_csv_missing_file():
         read_trace_csv("/nonexistent/trace.csv")
 
 
+def test_read_trace_csv_reads_a_fifo_as_the_file_it_carries(tmp_path):
+    # A pipe cannot be mapped; it is read through instead.
+    _, records = sample_run()
+    path, fifo = tmp_path / "t.csv", tmp_path / "t.fifo"
+    write_trace_csv(records, str(path))
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    feeder.start()
+    try:
+        assert read_trace_csv(str(fifo)) == read_trace_csv(str(path)) == records
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+
+
 def test_trace_csv_skips_blank_lines():
     text = (
         "round,caller,target,kind,outcome,serial_position\n"
         "1,0,1,initial_successor,informed,0\n\n"
     )
-    records = parse_trace_csv(text)
+    records = read_text(text)
     assert records == [
         CallRecord(1, 0, 1, CallKind.INITIAL_SUCCESSOR, CallOutcome.INFORMED, 0)
     ]
@@ -169,11 +199,11 @@ def csv_module_text(records):
 @given(run=runs())
 def test_trace_csv_round_trips_every_protocol(run):
     *_, log = run
-    text = format_trace_csv(log)
+    text = written_text(log)
     assert text == csv_module_text(log)
-    parsed = parse_trace_csv(text)
+    parsed = read_text(text)
     assert parsed == log
-    assert format_trace_csv(parsed) == text
+    assert written_text(parsed) == text
 
 
 def test_trace_csv_writes_any_int64():
@@ -181,8 +211,8 @@ def test_trace_csv_writes_any_int64():
         CallRecord(1, -5, 0, CallKind.RANDOM, CallOutcome.INFORMED, -(2**63)),
         CallRecord(10, 0, -1, CallKind.SEQUENTIAL, CallOutcome.CRASHED_TARGET, 2**63 - 1),
     ]
-    assert format_trace_csv(records) == csv_module_text(records)
-    assert format_trace_csv([]) == HEADER
+    assert written_text(records) == csv_module_text(records)
+    assert written_text([]) == HEADER
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 5])
@@ -194,39 +224,46 @@ def test_trace_csv_rejects_integers_beyond_18_digits(column, cell):
     row[column] = cell
     text = HEADER + "1,0,1,initial_successor,informed,0\n" + ",".join(row) + "\n"
     with pytest.raises(TraceFormatError, match=r"^line 3: .* at most 18 digits"):
-        parse_trace_csv(text)
+        read_text(text)
 
 
 def test_trace_csv_reads_18_digit_integers():
     text = HEADER + "1,0,999999999999999999,random,informed,0\n"
-    assert parse_trace_csv(text)[0].target == 10**18 - 1
+    assert read_text(text)[0].target == 10**18 - 1
 
 
 @pytest.mark.parametrize("row", ["+1,0,1,random,informed,0", " 1,0,1,random,informed,0",
                                  "1_0,0,1,random,informed,0", '"1",0,1,random,informed,0'])
 def test_trace_csv_rejects_integers_that_are_not_plain_decimals(row):
     with pytest.raises(TraceFormatError, match=r"^line 2: integers must be plain decimals"):
-        parse_trace_csv(HEADER + row + "\n")
+        read_text(HEADER + row + "\n")
+
+
+def test_trace_csv_cell_beyond_the_csv_field_limit_names_its_line():
+    text = HEADER + "1,0,1,random,informed," + "1" * 200_000 + "\n"
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 2: field larger than field limit \(131072\)$"):
+        read_text(text)
 
 
 def test_trace_csv_accepts_crlf_blank_lines_and_no_final_newline():
     _, records = sample_run()
-    text = format_trace_csv(records)
+    text = written_text(records)
     body = text[len(HEADER):].splitlines()
-    assert parse_trace_csv(text.replace("\n", "\r\n")) == records
-    assert parse_trace_csv(HEADER + "\n\n" + "\n\r\n".join(body)) == records
-    assert parse_trace_csv(HEADER) == []
+    assert read_text(text.replace("\n", "\r\n")) == records
+    assert read_text(HEADER + "\n\n" + "\n\r\n".join(body)) == records
+    assert read_text(HEADER) == []
 
 
 def test_trace_csv_error_names_the_line_after_blank_lines():
     text = HEADER + "1,0,1,initial_successor,informed,0\n\n\n2,0,x,sequential,informed,0\n"
     with pytest.raises(TraceFormatError, match="^line 5: invalid literal"):
-        parse_trace_csv(text)
+        read_text(text)
 
 
 def test_trace_csv_header_that_csv_cannot_read_is_a_format_error():
     with pytest.raises(TraceFormatError, match="^bad header: new-line character"):
-        parse_trace_csv("round,cal\rler\n1,0,1,random,informed,0\n")
+        read_text("round,cal\rler\n1,0,1,random,informed,0\n")
 
 
 # ------------------------------------------------------- trace CSV row blocks
@@ -248,17 +285,9 @@ def block_rows(rows):
 def test_trace_csv_blocks_write_the_csv_module_bytes(rows, run):
     *_, log = run
     with block_rows(rows):
-        text = format_trace_csv(log)
+        text = written_text(log)
         assert text == csv_module_text(log)
-        assert parse_trace_csv(text) == log
-
-
-@pytest.mark.parametrize("rows", BLOCK_ROWS)
-def test_trace_csv_blocks_write_files_of_the_same_bytes(rows, tmp_path):
-    _, records = sample_run()
-    with block_rows(rows):
-        write_trace_csv(records, str(tmp_path / "t.csv"))
-    assert (tmp_path / "t.csv").read_text() == csv_module_text(records)
+        assert read_text(text) == log
 
 
 BAD_ROWS = [
@@ -278,7 +307,7 @@ def test_trace_csv_bad_row_in_a_later_block_names_its_line(rows, bad, message):
     for at in (2, 3, 9, 16, 21):  # line numbers; the header is line 1
         text = "\n".join(lines[: at - 1] + [bad] + lines[at - 1 :]) + "\n"
         with block_rows(rows), pytest.raises(TraceFormatError, match=f"^line {at}: {message}"):
-            parse_trace_csv(text)
+            read_text(text)
 
 
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
@@ -291,8 +320,8 @@ def test_trace_csv_blank_lines_crlf_and_no_final_newline_on_block_edges(rows):
             # One or two blank lines; among LF lines, also a blank CRLF line.
             for blanks in ([""], ["", ""], ["\r"])[: 3 if end == "\n" else 2]:
                 text = HEADER + end.join(body[:at] + blanks + body[at:])
-                assert parse_trace_csv(text) == records
-                assert parse_trace_csv(text + end) == records
+                assert read_text(text) == records
+                assert read_text(text + end) == records
 
 
 # A trace of about 2^15 rows, and blocks much shorter than the trace.
