@@ -18,7 +18,10 @@ and its first such encounter is free: it begins one encounter in debt.
 All of a world's randomness is drawn from its one seeded generator in a
 fixed order (the round's target draws, in ascending caller id order, then
 the round's serialization permutation), so a given configuration always
-reproduces the same call sequence bit for bit.
+reproduces the same call sequence bit for bit.  Each round takes the
+permutation's draws but lays it out only where hybrid's rules or a kept
+log read it; elsewhere shuffling a zero-stride view takes the same draws,
+as Fisher-Yates draws depend only on the length.
 
 Worlds live in stacks: a stack holds T independent worlds of one
 ``(spec, n, start)`` in per-node arrays of length T * n, world ``w``'s
@@ -35,10 +38,13 @@ one world and by ``run_stack`` for a stack.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
 calls, in caller (ascending entry) order: the serialization only breaks
 ties among calls to the same uninformed target, which a scatter-min of
-serial positions resolves, and orders a kept log.  Entries of different
-worlds never collide, so the worlds cannot interact.  The test suite keeps
-a per-call statement of the same semantics (``tests/reference_engine.py``)
-as the oracle the kernel is checked against.
+serial positions resolves, and orders a kept log.  Where no rules read a
+tie's winner and no log is kept, caller positions stand in for serial
+positions: only which of the tied calls is labelled the winner changes.
+Entries of different worlds never collide, so the worlds cannot interact.
+The test suite keeps a per-call statement of the same semantics
+(``tests/reference_engine.py``) as the oracle the kernel is checked
+against.
 
 Every draw is vectorised.  Independent lists keep each node's drawn prefix
 in an int32 node-by-call-index table and extend it by a block draw: one
@@ -57,10 +63,10 @@ at most ``MAX_STACK_NODES`` (2**31 - 1) nodes and refuses more.  So every
 per-node array is int32 or narrower (the status is int8), and so are the
 round's target ids and the first-writer scratch with the serial positions
 scattered into it.  Three stay int64.  The callers and the serialization
-``order`` index other arrays, and numpy casts a narrower index on every
-fancy index; ``shuffle`` is also fastest on 8-byte items.  A kept log's
-id columns are widened once per round, so the trace writer and the
-verifier read int64 as before.
+``order``, where one is laid out, index other arrays, and numpy casts a
+narrower index on every fancy index; ``shuffle`` is also fastest on 8-byte
+items.  A kept log's id columns are widened once per round, so the trace
+writer and the verifier read int64 as before.
 """
 
 from __future__ import annotations
@@ -295,6 +301,10 @@ class _Rules:
     entry per stack entry) that ``__init__`` allocates.
     """
 
+    # Whether ``settle`` reads which of several calls to one target informed
+    # it; only then does a round without a kept log lay out its serial order.
+    reads_outcomes = False
+
     def __init__(self, spec: ProtocolSpec, n: int, entries: int):
         """Rules of ``spec`` for a stack of ``entries`` nodes in worlds of ``n``."""
 
@@ -324,6 +334,8 @@ class _HybridRules(_Rules):
     walks its own successors first and its first encounter is free: it
     begins one encounter in debt, with ``encounters`` at -1 until that
     encounter ends its initial walk."""
+
+    reads_outcomes = True
 
     def __init__(self, spec, n, entries):
         self.stop_budget = spec.stop_budget
@@ -512,6 +524,9 @@ class _Stack:
         self._status = np.zeros(size, dtype=np.int8)
         # The round kernel's first-writer scratch; all sentinel between rounds.
         self._first_serial = np.full(size, _NO_SERIAL, dtype=np.int32)
+        # A writable zero-stride int64 view, sliced to a world's call count:
+        # shuffling it draws that world's permutation without laying it out.
+        self._unread_order = np.lib.stride_tricks.as_strided(np.zeros(1, np.int64), (n,), (0,))
 
 
 class SimulationState:
@@ -638,21 +653,28 @@ def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
     return np.add.reduceat(mask, bounds[:-1], dtype=np.int64).tolist()
 
 
-def _resolve(stack: _Stack, entries: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _resolve(stack: _Stack, entries: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """The int8 outcome codes of the round's calls, given their target
     entries in caller order and their serialization ``order``; marks the
     targets they inform.
 
     Targets crashed before the round stay crashed; among calls to targets
     uninformed at round start, the first at each target in serial order
-    informs it, later ones find it already informed.  The temporaries die
-    on return, before ``settle`` allocates its own.
+    informs it, later ones find it already informed.  With ``order`` None
+    the calls are taken in caller order, each caller's position standing
+    in for its serial position: the same targets are informed and the same
+    number of calls inform, but a tied target's winner may differ.  The
+    temporaries die on return, before ``settle`` allocates its own.
     """
     t_status = stack._status[entries]
     # Serial positions as int32, the scratch's dtype: ``np.minimum.at``
     # takes its fast path only when the two match.
-    open_serial = np.flatnonzero((t_status == _UNINFORMED)[order]).astype(np.int32)
-    open_calls = order[open_serial]
+    if order is None:
+        open_calls = np.flatnonzero(t_status == _UNINFORMED)
+        open_serial = open_calls.astype(np.int32)
+    else:
+        open_serial = np.flatnonzero((t_status == _UNINFORMED)[order]).astype(np.int32)
+        open_calls = order[open_serial]
     open_targets = entries[open_calls]
     first = stack._first_serial
     np.minimum.at(first, open_targets, open_serial)
@@ -691,7 +713,12 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     generator; the rest runs once over all the worlds' calls in caller
     order.  The permutations are read only to find those first calls (a
     scatter-min of serial positions into a per-stack scratch that holds a
-    sentinel between rounds) and to write kept logs in serial order.
+    sentinel between rounds) and to write kept logs in serial order.  So
+    they are laid out only when the rules read the outcomes or a world
+    keeps a log; otherwise each world's generator takes the permutation's
+    draws on the stack's zero-stride view, and the first calls in caller
+    order inform: the informed set, the counters and the rules' state come
+    out the same.
     ``tests/reference_engine.py`` applies the same calls one by one; the
     test suite asserts that both produce the same records, state, and RNG
     consumption.
@@ -727,10 +754,11 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     targets, kinds = stack._rules.draw(stack, calls)
     # ``permutation(k)`` is ``shuffle(arange(k))``: shuffling each world's
     # slice of one ``arange`` draws its permutation, offset to its calls.
-    k = len(callers)
-    order = np.arange(k)
+    # Where nothing reads the order, the zero-stride view takes its draws.
+    laid_out = stack._rules.reads_outcomes or any(world.log is not None for world in calling)
+    order = np.arange(len(callers)) if laid_out else None
     for world, a, b in zip(calling, bounds, bounds[1:]):
-        world.rng.shuffle(order[a:b])
+        world.rng.shuffle(order[a:b] if laid_out else stack._unread_order[: b - a])
 
     outcomes = _resolve(stack, calls.entries(targets), order)
     for world, a, b in zip(calling, bounds, bounds[1:]):

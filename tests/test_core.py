@@ -22,6 +22,9 @@ from rumorsim.core import (
     _STOPPED,
     _UNINFORMED,
     _IndependentListRules,
+    _execute_rounds,
+    _resolve,
+    _run_worlds,
     CallKind,
     CallOutcome,
     RUN_CAPPED,
@@ -626,6 +629,79 @@ def test_shuffled_slices_draw_permutations():
         assert sliced.bit_generator.state == alone.bit_generator.state
 
 
+def run_worlds_leaving_clean_scratch(worlds):
+    """``run_stack`` of ``worlds``, checking after each round that the
+    first-writer scratch is all sentinel again; the summaries."""
+    def execute(live):
+        stalled = _execute_rounds(live)
+        assert (worlds[0]._stack._first_serial == _NO_SERIAL).all()
+        return stalled
+
+    return _run_worlds(worlds, None, execute)
+
+
+@pytest.mark.parametrize("timing", [None, "at_start", "uniform_round"])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_run_without_a_log_equals_the_run_with_one(spec, timing, monkeypatch):
+    # Without a log, only rules that read the outcomes (hybrid's) lay out
+    # the serial order; the others resolve first writers in caller order.
+    # That may crown another of several calls to one target, but the
+    # summaries, the status, every rules array and the generator state
+    # must come out as with the order laid out for a kept log.  At these n
+    # many rounds hold calls to one target from several callers.
+    orders = []
+
+    def spy(stack, entries, order):
+        orders.append(order is None)
+        return _resolve(stack, entries, order)
+
+    monkeypatch.setattr("rumorsim.core._resolve", spy)
+    for n, allow_self_calls, count in itertools.product((64, 256, 1024), (True, False), (1, 4)):
+        seeds = [n + count + allow_self_calls + w for w in range(count)]
+        schedules = [None] * count
+        if timing is not None:
+            model = CrashModel(0.25, timing, max_round=None if timing == "at_start" else 10)
+            schedules = [generate_crash_schedule(n, model, np.random.default_rng(seed))
+                         for seed in seeds]
+        runs = {}
+        for keep_log in (False, True):
+            orders.clear()
+            worlds = init_stack(spec, n, 0, seeds, schedules,
+                                allow_self_calls=allow_self_calls, keep_log=keep_log)
+            runs[keep_log] = worlds, run_worlds_leaving_clean_scratch(worlds)
+            serialized = keep_log or spec.name == "hybrid"
+            assert set(orders) == {not serialized}, (n, allow_self_calls, count, keep_log)
+        (bare, bare_summaries), (logged, logged_summaries) = runs[False], runs[True]
+        where = (n, allow_self_calls, count)
+        assert bare_summaries == logged_summaries, where
+        for a, b in zip(bare, logged):
+            assert_same_world_state(a, b)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state, where
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 2**16 - 1, 2**16 + 1, 2**20 + 7])
+def test_zero_stride_shuffle_draws_the_permutation(k):
+    # A round whose serial order nothing reads shuffles a slice of the
+    # stack's zero-stride view; every frozen stream holds only if that
+    # takes ``shuffle(arange(k))``'s draws.  The view must stay writable
+    # (``shuffle`` refuses a read-only ``broadcast_to`` view) and zero-stride,
+    # so shuffling it allocates nothing that grows with k.
+    view = init_simulation(FullyRandomPush(), k, seed=0)._stack._unread_order
+    assert view.shape == (k,) and view.strides == (0,) and view.flags.writeable
+    laid, unread = np.random.default_rng(k), np.random.default_rng(k)
+    laid.shuffle(np.arange(k))
+    tracemalloc.start()
+    try:
+        unread.shuffle(view[:k])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unread.bit_generator.state == laid.bit_generator.state, (
+        f"a zero-stride shuffle draws otherwise on numpy {np.__version__}, k={k}"
+    )
+    assert peak < 1024
+
+
 @pytest.mark.parametrize("high", [1, 2, 10, 2**20 - 1, 2**20, 2**31 - 1])
 @pytest.mark.parametrize("m", [0, 1, 1000])
 def test_int32_draws_match_int64_draws(high, m):
@@ -818,16 +894,18 @@ def test_world_state_bytes_per_node(spec, bound):
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (Hybrid(4), 45), (FullyRandomPush(), 31.5), (Quasirandom("identical"), 36),
+    (Hybrid(4), 45), (FullyRandomPush(), 23.5), (Quasirandom("identical"), 30.5),
     (Quasirandom("independent"), 200),
 ], ids=str)
 def test_run_peak_bytes_per_node(spec, bound):
     # The traced peak of a whole run, its state included, measured at
-    # 41.6 / 29.1 / 33.1 / 185.1 bytes per node; each bound leaves under
+    # 41.6 / 21.4 / 28.0 / 182.6 bytes per node; each bound leaves under
     # 10% headroom.  The peak round holds the int64 callers, the int32
-    # targets and the outcome codes while ``settle`` allocates, or the
-    # serialization while the first writers are resolved; independent
-    # lists add their int32 table of drawn prefixes.
+    # targets and the outcome codes while ``settle`` allocates (hybrid,
+    # identical lists), or the first-writer temporaries while they are
+    # resolved (push).  Without a log only hybrid lays out a serialization,
+    # freed before ``settle``; independent lists add their int32 table of
+    # drawn prefixes.
     n = 2**18
     init_simulation(spec, 1, seed=0)
     tracemalloc.start()

@@ -87,9 +87,10 @@ def test_every_per_node_array_is_read():
                     and isinstance(node.value, ast.Call) and _root_name(node.value.func) == "np"
                     for target in node.targets if isinstance(target, ast.Attribute)
                 }
-    # The stack holds the status array and the kernel's scratch; the rules
-    # hold every protocol's own state.
-    assert allocated["_Stack"] == {"_status", "_first_serial"}
+    # The stack holds the status array, the kernel's scratch and the
+    # zero-stride view shuffled for a serial order nothing reads (8 bytes
+    # whatever n); the rules hold every protocol's own state.
+    assert allocated["_Stack"] == {"_status", "_first_serial", "_unread_order"}
     assert allocated["_HybridRules"] == {"next_target", "encounters"}
     assert allocated["_SharedListRules"] == {"next_target"}
     assert "_PushRules" not in allocated
