@@ -11,9 +11,9 @@ as the flag would be: on/off flags take ``true``/``false``; list flags take
 an array or a comma string; every other flag takes a string or a number,
 never a boolean.  ``null`` leaves the flag unset.
 
-Exit codes: 0 success, 1 usage or ill-formed input (or out of memory),
-2 simulation stall, 3 round cap exhausted, 4 invariant violation found by
-``trace``.
+Exit codes: 0 success, 1 usage or ill-formed input (or out of memory, or
+a dead worker process of a batch), 2 simulation stall, 3 round cap
+exhausted, 4 invariant violation found by ``trace``.
 """
 
 from __future__ import annotations
@@ -411,6 +411,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:
+        # A batch's worker process died (the kernel may kill one for memory).
+        # Imported here, as only a batch that used a pool can raise it.
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -238,10 +238,12 @@ def test_summary_retention_keeps_no_traces():
     assert run_trials(BASE).traces is None
 
 
-def test_batch_memory_is_bounded_by_the_stack_budget():
+def test_batch_memory_is_bounded_by_the_stack_budget(monkeypatch):
     # About 140 bytes per stacked node at peak: the 200 trials' 819k nodes
     # stacked at once would take some 100 MB, a stack of 2^15 nodes under
-    # 6 MB (180 bytes per node).
+    # 6 MB (180 bytes per node).  tracemalloc sees only this process, so
+    # the stacks run here, not in workers.
+    monkeypatch.setattr(experiments, "_POOL_NODE_TRIALS", math.inf)
     config = ExperimentConfig(
         spec=Hybrid(2), n=4096, trials=200, master_seed=3, crash=CrashModel(0.1)
     )

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+import symtable
 from collections import Counter
 
 import numpy as np
@@ -175,14 +176,69 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-def test_benchmark_patch_points_resolve():
-    # The benchmark's traced run replaces these module globals by name; a
-    # rename here would break it, though its own tests are not run here.
+def _benchmark_tracing():
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_patch_points_resolve():
+    # The benchmark's traced run replaces these module globals by name; a
+    # rename here would break it, though its own tests are not run here.
+    tracing = _benchmark_tracing()
     assert tracing.PATCH_POINTS
     missing = [f"{module.__name__}.{name}" for module, names in tracing.PATCH_POINTS.items()
                for name in names if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+def _module_level_reads(source: str, tree) -> set[str]:
+    """Names a module reads from its own globals: in its body, as globals
+    of its functions and classes (a local of the same name shadows them),
+    in annotations (which ``from __future__ import annotations`` keeps out
+    of the symbol table) and in ``__all__``."""
+    read = set()
+    tables = [(symtable.symtable(source, "module", "exec"), True)]
+    while tables:
+        table, top = tables.pop()
+        read.update(symbol.get_name() for symbol in table.get_symbols()
+                    if symbol.is_referenced() and (top or symbol.is_global()))
+        tables.extend((child, False) for child in table.get_children())
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+        read.update(name.id for annotation in annotations if annotation is not None
+                    for name in ast.walk(annotation) if isinstance(name, ast.Name))
+    return read
+
+
+def test_no_module_level_import_is_unused():
+    # An import nothing reads costs start-up time and misleads the reader.
+    # The benchmark's traced run patches some names by module, so those
+    # stay importable there even where the module never calls them.
+    patched = {(module.__name__.rsplit(".", 1)[-1], name)
+               for module, names in _benchmark_tracing().PATCH_POINTS.items() for name in names}
+    unused = []
+    for path in sorted(pathlib.Path(rumorsim.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        read = _module_level_reads(source, tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and (path.stem, name) not in patched:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
