@@ -9,12 +9,14 @@ with no Python object per row or per cell.  The writer's bytes are those of
 ``csv.writer`` on the records; each block's bytes go straight to the file.
 The parser finds its blocks in one pass over the bytes, which counts the
 lines and notes where every ``_BLOCK_ROWS``-th one ends, and fills columns
-allocated once, with an entry per line.  It accepts what the writer
-writes, plus blank lines and CRLF line ends; a row's integers must be
-plain decimals of at most 18 digits, so every value fits in int64 and none
-is ever clamped.  Any other row is reported, with its line number, by the
-first failing per-row check over the lines of its own block.  The row
-format is stated once, in ``_CELL_NAMES``.
+allocated once, with an entry per line.  A regular file is mapped, and the
+parse lets go of the pages it has read after each slice of that pass and
+after each block, so it holds about one block of the file at a time.  It
+accepts what the writer writes, plus blank lines and CRLF line ends; a
+row's integers must be plain decimals of at most 18 digits, so every value
+fits in int64 and none is ever clamped.  Any other row is reported, with
+its line number, by the first failing per-row check over the lines of its
+own block.  The row format is stated once, in ``_CELL_NAMES``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ _CELL_NAMES = CallRecord(
 _MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
 _COMMA, _NEWLINE, _RETURN, _ZERO = b",\n\r0"
 # Rows written or parsed in one numpy pass: the write and the parse hold
-# the log (and the parse the file's bytes) and one block's temporaries.
+# the log and one block's temporaries (and the parse one block's bytes).
 _BLOCK_ROWS = 16384
 # The longest line a row can take, its CRLF line end included.
 _LINE_BYTES = sum(
@@ -226,12 +228,14 @@ def _parse_trace(data: bytes) -> CallLog:
     # _BLOCK_ROWS-th one ends.  Each line holds at most one row, so the
     # columns are allocated once and filled block by block.
     body, most = np.frombuffer(data, dtype=np.uint8), _BLOCK_ROWS * _LINE_BYTES
+    release = _page_release(data)
     ends, lines = [header_end + 1], 1
     for at in range(header_end + 1, len(body), most):
         newlines = np.flatnonzero(body[at : at + most] == _NEWLINE)
         # The body's newlines before this slice number lines - 1.
         ends += (newlines[(-lines) % _BLOCK_ROWS :: _BLOCK_ROWS] + at + 1).tolist()
         lines += len(newlines)
+        release(at + most)
     if ends[-1] < len(body):
         ends.append(len(body))
     columns = CallRecord._make(np.empty(lines, dtype) for dtype in COLUMN_DTYPES)
@@ -243,10 +247,26 @@ def _parse_trace(data: bytes) -> CallLog:
         if block is None:
             _raise_first_bad_row(data[begin:end].decode("utf-8", "replace"),
                                  2 + index * _BLOCK_ROWS)
+        release(end)
         for column, values in zip(columns, block):
             column[rows : rows + len(values)] = values
         rows += len(block.round)
     return CallLog(CallRecord._make(column[:rows] for column in columns))
+
+
+def _page_release(data):
+    """A function that lets go of the process's pages of ``data[:end]``
+    where ``data`` is a mapped file, and does nothing otherwise.
+
+    The mapping is read-only and shared, so the pages stay in the page
+    cache; a later read of them, as the error path's, maps them again.  A
+    fault may map the pages around it, before the bytes being read, so
+    each call lets go of everything before ``end``, not just the last
+    slice.
+    """
+    if not isinstance(data, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
+        return lambda end: None
+    return lambda end: data.madvise(mmap.MADV_DONTNEED, 0, end)
 
 
 def _parse_rows(body: np.ndarray) -> CallRecord | None:

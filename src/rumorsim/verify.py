@@ -19,10 +19,13 @@ found the node crashed, and which call informed it.  They are indexed by
 the node ids themselves when the largest in-range id is below the number
 of call endpoints, and by compacted ids otherwise, so memory follows the
 trace's length, not ``n``.  Ids and trace positions are int32 where they
-fit.  Each check is then a mask over the calls.  The protocol rules run,
-once the replay's arrays are released, over the calls sorted stably by
-caller, as shifts and cumulative sums within each caller's segment.  Only
-the first ``max_violations`` messages, in the documented order, are
+fit.  Each check is then a mask over the calls, and each node's first call
+of a kind is found by a scatter-min of call indices, not by a sort.  The
+calls are grouped by caller, in trace order within each caller, by one
+unstable sort of a unique key; the protocol rules run, once the replay's
+arrays are released, over those groups, as shifts and cumulative sums
+within each caller's segment, on int32 ids and counts and int8 codes.
+Only the first ``max_violations`` messages, in the documented order, are
 formatted.
 """
 
@@ -156,6 +159,40 @@ def _node_ids(callers: np.ndarray, targets: np.ndarray):
     return nodes, ids[: len(callers)], ids[len(callers) :]
 
 
+def _group_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` of non-negative ids, in the
+    narrowest index dtype.
+
+    One unstable sort of a unique key, each id times ``len(ids)`` plus its
+    position, which is several times faster than numpy's stable sort.  The
+    key is at most (largest id + 1) * len(ids) - 1; node ids are below
+    twice the number of calls (``_node_ids``), so it fits int64 for any
+    trace of fewer than 2^31 calls.  A key that would not fit takes the
+    stable sort.
+    """
+    size = len(ids)
+    if (int(ids.max(initial=0)) + 1) * size > 2**63:
+        order = np.argsort(ids, kind="stable")
+    else:
+        key = ids.astype(np.int64)
+        key *= size
+        key += np.arange(size)
+        order = np.argsort(key)
+        del key
+    return order.astype(_index_dtype(size))
+
+
+def _first_calls(ids: np.ndarray, size: int):
+    """``np.unique(ids, return_index=True)`` for ids in ``[0, size)``: the
+    ids present, and each one's first index, by a scatter-min of the
+    indices into a per-id array rather than a sort."""
+    dtype = _index_dtype(len(ids))
+    first = np.full(size, len(ids), dtype=dtype)
+    np.minimum.at(first, ids, np.arange(len(ids), dtype=dtype))
+    hit = np.flatnonzero(first < len(ids))
+    return hit, first[hit]
+
+
 def _replay(columns, n, start, crash_schedule, no_crashes):
     """Protocol-independent checks over the whole trace.
 
@@ -186,6 +223,7 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
                  1 + np.flatnonzero(~back & ~same_round & (s[1:] != 0)), 0)
     if s[0] != 0:
         flag_records("{where}: first record of a round must be serial 0", [0], 0)
+    del same_round, back
 
     highest = min(n - 1, _INT64_MAX)
     inside = (c >= 0) & (c <= highest) & (t >= 0) & (t <= highest)
@@ -197,6 +235,7 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
     # the trace, or m for none, fits in ``position``.
     position = _index_dtype(m)
     at = np.flatnonzero(inside).astype(position)
+    del inside
     q = len(at)
     pick = slice(None) if q == m else at  # every call in range: read the columns in place
     nodes, caller, target = _node_ids(c[pick], t[pick])
@@ -211,23 +250,25 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
     crashed_at = np.full(len(nodes), m, dtype=position)
     crashed_round = np.zeros(len(nodes), dtype=np.int64)
     crash_calls = np.flatnonzero(outcome == CRASHED_TARGET)
-    hit, first = np.unique(target[crash_calls], return_index=True)
+    hit, first = _first_calls(target[crash_calls], len(nodes))
     crashed_at[hit] = at[crash_calls[first]]
     crashed_round[hit] = rounds[crash_calls[first]]
 
     # A node is informed by the first informing call to it that does not
     # come after a call that found it crashed in that round or earlier;
     # the start is informed before the first call, at round 0.
-    informing = (outcome == INFORMED) & (target != start_id)
-    informing &= (at < crashed_at[target]) | (rounds < crashed_round[target])
-    informing = np.flatnonzero(informing)
-    hit, first = np.unique(target[informing], return_index=True)
+    informing = np.flatnonzero((outcome == INFORMED) & (target != start_id))
+    informed = target[informing]
+    informing = informing[(at[informing] < crashed_at[informed])
+                          | (rounds[informing] < crashed_round[informed])]
+    hit, first = _first_calls(target[informing], len(nodes))
     informed_at = np.full(len(nodes), m, dtype=position)
     informed_round = np.full(len(nodes), _INT64_MAX)
     informed_at[hit] = at[informing[first]]
     informed_round[hit] = rounds[informing[first]]
     if start_id >= 0:
         informed_at[start_id], informed_round[start_id] = -1, 0
+    del informing, informed, hit, first
 
     def call(i) -> dict:
         return {**record(at[i]), "informed": informed_round[caller[i]]}
@@ -240,19 +281,15 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
     flag_calls("{where}: caller {caller} was never informed", ~caller_known, 2)
     flag_calls("{where}: caller {caller} acts in the round it was informed "
                "(informed at {informed})", caller_known & (informed_round[caller] >= rounds), 2)
-    flag_calls("{where}: caller {caller} calls at round {round} but was seen crashed",
-               (crashed_at[caller] < at) & (crashed_round[caller] <= rounds), 3)
+    del caller_known
+    if len(crash_calls):  # otherwise no call found a node crashed
+        flag_calls("{where}: caller {caller} calls at round {round} but was seen crashed",
+                   (crashed_at[caller] < at) & (crashed_round[caller] <= rounds), 3)
     crash_round = None
     if crash_schedule is not None:
         crash_round = _crash_rounds(crash_schedule, nodes, highest)
         flag_calls("{where}: caller {caller} calls at or after its crash round",
                    crash_round[caller] <= rounds, 4)
-    by_caller = np.argsort(caller, kind="stable")
-    twice = np.zeros(q, dtype=bool)
-    twice[by_caller[1:]] = (caller[by_caller[1:]] == caller[by_caller[:-1]]) & (
-        rounds[by_caller[1:]] == rounds[by_caller[:-1]]
-    )
-    flag_calls("{where}: caller {caller} calls twice in one round", twice, 5)
 
     # Outcomes against the replayed informed set.
     target_known = informed_at[target] < at
@@ -274,6 +311,26 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
                    encounters & due, 7)
         flag_calls("{where}: target {target} reported crashed before its crash round",
                    crashes & ~due, 7)
+    del target_known, informs, encounters, crashes
+
+    # The calls grouped by caller, and a caller's calls in one round.
+    by_caller = _group_order(caller)
+    positions, grouped_targets = at[by_caller], target[by_caller]
+    del target
+    callers = caller[by_caller]
+    del by_caller
+    opens = np.ones(q, dtype=bool)
+    opens[1:] = callers[1:] != callers[:-1]
+    # Bounds of the callers' dtype: wider ones would compare a widened copy.
+    bounds = np.array([start_id, start_id + 1], dtype=callers.dtype)
+    start_calls = slice(*np.searchsorted(callers, bounds).tolist())
+    del callers
+    grouped_rounds = r[positions]
+    same_round = grouped_rounds[1:] == grouped_rounds[:-1]
+    del grouped_rounds
+    # The in-range index of each such call is its position's place in ``at``.
+    twice = np.searchsorted(at, positions[1 + np.flatnonzero(~opens[1:] & same_round)])
+    found.add("{where}: caller {caller} calls twice in one round", call, twice, at[twice], 5)
 
     # Doubling: each run of equal rounds in trace order informs at most as
     # many nodes as were informed before it.
@@ -288,12 +345,9 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
         over, np.append(runs[1:], m)[over] - 1, 8,
     )
 
-    target_informed_round = None
-    if no_crashes:
-        sorted_targets = target[by_caller]
-        target_informed_round = np.where(informed_at[sorted_targets] < m,
-                                         informed_round[sorted_targets], _INT64_MAX)
-    return found, (at[by_caller], caller[by_caller], target_informed_round)
+    dense = not len(nodes) or nodes[-1] == len(nodes) - 1  # each id is its node
+    return found, (positions, opens, grouped_targets, None if dense else nodes, start_calls,
+                   informed_round if no_crashes else None)
 
 
 def _crash_rounds(crash_schedule, nodes, highest) -> np.ndarray:
@@ -309,34 +363,40 @@ def _crash_rounds(crash_schedule, nodes, highest) -> np.ndarray:
 
 
 class _CallerSegments:
-    """The in-range calls sorted stably by caller: each caller's calls are
-    one segment, in trace order.  ``rank`` orders the callers by their
-    first call; ``index`` is a call's place in its caller's segment.
+    """The in-range calls grouped by caller: each caller's calls are one
+    segment, in trace order, and ``first`` marks each segment's first call.
+    ``target`` holds the calls' target ids, ``values`` turns ids into their
+    nodes, ``start_calls`` slices out the start's calls, and
+    ``informed_round``, given only for a no-crash run, is each node id's
+    informed round.  Messages come caller by caller in the order of the
+    callers' first calls.
 
-    A trace column of the sorted calls, read as the attribute of its field
-    name (``calls.target``), is gathered when a rule first reads it.
+    The int8 ``kind`` and ``outcome`` columns of the grouped calls are
+    gathered when a rule first reads them; ``column`` gathers any other.
     """
 
-    def __init__(self, columns, positions, caller_ids, target_informed_round):
-        self._columns, self.positions = columns, positions
-        self.target_informed_round = target_informed_round
-        dtype = _index_dtype(len(positions))
-        opens = np.ones(len(positions), dtype=bool)
-        opens[1:] = caller_ids[1:] != caller_ids[:-1]
-        self.segment = np.cumsum(opens, dtype=dtype) - 1
-        self.starts = np.flatnonzero(opens).astype(dtype)
-        self.index = np.arange(len(positions), dtype=dtype) - self.starts[self.segment]
-        rank = np.empty(len(self.starts), dtype=dtype)
-        rank[np.argsort(positions[self.starts])] = np.arange(len(self.starts))
-        self.rank = rank[self.segment]
-        self.first = self.index == 0
+    def __init__(self, columns, positions, first, target, nodes, start_calls, informed_round):
+        self._columns, self.positions, self.first, self.target = columns, positions, first, target
+        self._nodes, self.start_calls, self.informed_round = nodes, start_calls, informed_round
+        dtype = positions.dtype
+        self.segment = np.cumsum(first, dtype=dtype)
+        self.segment -= 1
+        self.starts = np.flatnonzero(first).astype(dtype)
+        self._rank = np.empty(len(self.starts), dtype=dtype)
+        self._rank[np.argsort(positions[self.starts])] = np.arange(len(self.starts))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        if name not in CallRecord._fields:
+        if name not in ("kind", "outcome"):
             raise AttributeError(name)
-        column = getattr(self._columns, name)[self.positions]
+        column = self.column(name)
         setattr(self, name, column)
         return column
+
+    def column(self, name: str) -> np.ndarray:
+        return getattr(self._columns, name)[self.positions]
+
+    def values(self, ids: np.ndarray) -> np.ndarray:
+        return ids if self._nodes is None else self._nodes[ids]
 
     def fields(self, i) -> dict:
         r, c, t, k, _, s = (column[self.positions[i]] for column in self._columns)
@@ -349,8 +409,10 @@ class _CallerSegments:
 
     def count_before(self, mask: np.ndarray) -> np.ndarray:
         """How many earlier calls of the same caller are in ``mask``."""
-        before = np.cumsum(mask) - mask
-        return before - before[self.starts][self.segment]
+        before = np.cumsum(mask, dtype=self.segment.dtype)
+        before -= mask
+        before -= before[self.starts][self.segment]
+        return before
 
     def is_node(self, values: np.ndarray, node) -> np.ndarray:
         if node is None or node > _INT64_MAX:
@@ -359,13 +421,16 @@ class _CallerSegments:
 
     def flag(self, found, template, mask, phase, slot=0, fields=None) -> None:
         index = np.flatnonzero(mask)
+        segment = self.segment[index]
         found.add(template, fields or self.fields, index,
-                  self.rank[index], phase, self.index[index], slot)
+                  self._rank[segment], phase, index - self.starts[segment], slot)
 
-    def flag_callers(self, found, template, calls, phase) -> None:
-        """One message for each caller with a call in ``calls``."""
-        firsts = self.starts[np.unique(self.segment[calls])]
-        found.add(template, self.fields, firsts, self.rank[firsts], phase, 0, 0)
+    def flag_callers(self, found, template, segments, phase) -> None:
+        """One message for each caller with a segment in ``segments``."""
+        flagged = np.zeros(len(self.starts), dtype=bool)
+        flagged[segments] = True
+        segments = np.flatnonzero(flagged)
+        found.add(template, self.fields, self.starts[segments], self._rank[segments], phase, 0, 0)
 
 
 def _check_kinds(found, calls, kind, walker) -> None:
@@ -385,11 +450,12 @@ def _successor(targets: np.ndarray, n: int) -> np.ndarray:
 
 def _check_walk(found, calls, steps, n) -> None:
     # Each step's call goes to the next node after its caller's previous target.
-    came_from = calls.previous(calls.target)
+    targets = calls.values(calls.target)
+    came_from = calls.previous(targets)
     expected = _successor(came_from, n)
     calls.flag(
         found, "{where}: caller {caller} walks to {target}, expected {expected} after {previous}",
-        steps & (calls.target != expected), 1,
+        steps & (targets != expected), 1,
         fields=lambda i: {**calls.fields(i), "expected": expected[i], "previous": came_from[i]},
     )
 
@@ -401,25 +467,27 @@ def _check_hybrid(found, calls, n, start, spec) -> None:
     # a random restart; a crashed target is walked past.  A caller stops for
     # good after its budget of encounters; the start gets one more.
     kind, outcome, first = calls.kind, calls.outcome, calls.first
-    budget = spec.stop_budget
-    is_start = calls.is_node(calls.caller, start)
+    is_start = np.zeros(len(calls.positions), dtype=bool)
+    is_start[calls.start_calls] = True
     encounters = calls.count_before(outcome == ALREADY_INFORMED)
-    stopped = encounters >= budget + is_start
+    stopped = encounters - is_start >= spec.stop_budget
     calls.flag(found, "{where}: caller {caller} calls after stopping", stopped, 0, 0)
     calls.flag(found, "{where}: caller {caller} exceeds its encounter budget",
                stopped & (outcome == ALREADY_INFORMED), 0, 1)
+    del stopped
     if is_start.any():
-        opening = (kind != INITIAL_SUCCESSOR) | (calls.target != (start + 1) % n)
+        opening = (kind != INITIAL_SUCCESSOR) | (calls.values(calls.target) != (start + 1) % n)
         calls.flag(found, "{where}: starting node must open at its successor with an "
                    "initial-successor call", first & is_start & opening, 0, 2)
     calls.flag(found, "{where}: first call of node {caller} must be random",
                first & ~is_start & (kind != RANDOM), 0, 2)
+    # The kind each call must have after its caller's previous call.
     came_after = calls.previous(outcome)
-    expected = np.select(
-        [is_start & (encounters == 0), came_after == INFORMED, came_after == ALREADY_INFORMED],
-        [INITIAL_SUCCESSOR, SEQUENTIAL, RANDOM],
-        calls.previous(kind),
-    )
+    expected = calls.previous(kind)
+    expected[came_after == ALREADY_INFORMED] = RANDOM
+    expected[came_after == INFORMED] = SEQUENTIAL
+    expected[is_start & (encounters == 0)] = INITIAL_SUCCESSOR
+    del is_start, encounters
     calls.flag(
         found, "{where}: caller {caller} places a {kind} call, expected {expected}",
         ~first & (kind != expected), 0, 2,
@@ -435,17 +503,14 @@ def _check_identical(found, calls, n, start, spec) -> None:
     # that meets a node informed in an earlier round, other than the start,
     # walks an informed stretch from then on and never informs again.
     _check_kinds(found, calls, SEQUENTIAL, "list-walking")
+    if calls.informed_round is not None:
+        met = (calls.informed_round[calls.target] < calls.column("round"))
+        met &= calls.outcome == ALREADY_INFORMED
+        met &= ~calls.is_node(calls.values(calls.target), start)
+        calls.flag(found, "{where}: identical-lists caller {caller} informs after an "
+                   "encounter with a previously informed node",
+                   (calls.outcome == INFORMED) & (calls.count_before(met) > 0), 2)
     _check_walk(found, calls, ~calls.first, n)
-    if calls.target_informed_round is None:
-        return
-    met = (
-        (calls.outcome == ALREADY_INFORMED)
-        & ~calls.is_node(calls.target, start)
-        & (calls.target_informed_round < calls.round)
-    )
-    calls.flag(found, "{where}: identical-lists caller {caller} informs after an encounter "
-               "with a previously informed node",
-               (calls.outcome == INFORMED) & (calls.count_before(met) > 0), 2)
 
 
 def _check_independent(found, calls, n, start, spec) -> None:
@@ -453,17 +518,20 @@ def _check_independent(found, calls, n, start, spec) -> None:
     # distinct, and from then on the sequence repeats with period n.
     _check_kinds(found, calls, SEQUENTIAL, "list-walking")
     lap = min(n, _INT64_MAX)
-    first_lap = np.flatnonzero(calls.index < lap)
-    order = first_lap[np.lexsort((calls.target[first_lap], calls.segment[first_lap]))]
-    repeats = order[1:][
-        (calls.segment[order[1:]] == calls.segment[order[:-1]])
-        & (calls.target[order[1:]] == calls.target[order[:-1]])
-    ]
+    index = np.arange(len(calls.positions), dtype=calls.segment.dtype)
+    index -= calls.starts[calls.segment]  # each call's place in its segment
+    later, in_lap = np.flatnonzero(index >= lap), index < lap
+    del index
+    # The first lap's calls by target, each target's calls in caller
+    # order: a caller's repeated target is two neighbours.
+    targets, segments = calls.target[in_lap], calls.segment[in_lap]
+    order = _group_order(targets)
+    targets, segments = targets[order], segments[order]
+    repeats = (segments[1:] == segments[:-1]) & (targets[1:] == targets[:-1])
     calls.flag_callers(found, "caller {caller}: repeats a list target before wrapping",
-                       repeats, 1)
-    later = np.flatnonzero(calls.index >= lap)
+                       segments[1:][repeats], 1)
     calls.flag_callers(found, "caller {caller}: list does not repeat cyclically",
-                       later[calls.target[later] != calls.target[later - lap]], 2)
+                       calls.segment[later[calls.target[later] != calls.target[later - lap]]], 2)
 
 
 # Each protocol's per-caller checks, by name; of the spec they read only

@@ -19,8 +19,6 @@ import pytest
 from rumorsim.experiments import CrashModel, ExperimentConfig, run_trials
 from rumorsim.protocols import FullyRandomPush
 
-chi2 = pytest.importorskip("scipy.stats").chi2
-
 TRIALS = 4000
 MIN_EXPECTED = 5  # expected trials per chi-square bin
 SIGNIFICANCE = 1e-3
@@ -80,6 +78,14 @@ def chi_square_bins(law, trials):
     return starts, probs
 
 
+@pytest.fixture(scope="module")
+def chi2():
+    # Imported when the first test here runs, not when pytest collects the
+    # module: scipy starts a BLAS thread, and with it every later batch in
+    # the session runs without the fork pool.
+    return pytest.importorskip("scipy.stats").chi2
+
+
 CASES = [
     # (n, self-calls, at_start crash fraction)
     (2, True, 0.0),
@@ -92,7 +98,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("n, self_calls, rho", CASES)
-def test_push_completion_round_follows_the_exact_law(n, self_calls, rho):
+def test_push_completion_round_follows_the_exact_law(n, self_calls, rho, chi2):
     crash = CrashModel(rho, "at_start") if rho else None
     config = ExperimentConfig(
         spec=FullyRandomPush(), n=n, trials=TRIALS, master_seed=2026,

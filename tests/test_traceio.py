@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import mmap
 import os
 import pathlib
 import tempfile
@@ -13,11 +14,12 @@ import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from rumorsim import traceio
-from rumorsim.core import CallKind, CallOutcome, CallRecord, init_simulation, run
+from rumorsim.core import CallKind, CallLog, CallOutcome, CallRecord, init_simulation, run
 from rumorsim.protocols import Hybrid
 from rumorsim.traceio import (
     TraceFormatError,
@@ -373,6 +375,44 @@ def test_trace_csv_parse_holds_the_file_the_columns_and_a_few_blocks(large_log, 
             peak = traced_peak(read)
         beyond = peak - file.stat().st_size - (len(lines) - 1) * row_bytes
         assert beyond < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES, file.name
+
+
+def mapped_resident_bytes():
+    """The process's resident pages of mapped files (on disk or tmpfs)."""
+    with open("/proc/self/status") as status:
+        fields = dict(line.split(":", 1) for line in status)
+    return sum(1024 * int(fields[name].split()[0]) for name in ("RssFile", "RssShmem"))
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED") or not os.path.exists("/proc/self/status"),
+                    reason="needs madvise(MADV_DONTNEED) and /proc/self/status")
+def test_trace_csv_parse_lets_go_of_the_mapped_file(tmp_path, monkeypatch):
+    # 2^17 rows of 18-digit integers: a file about seven times the bytes
+    # of one of the parse's slices.
+    rows = 2**17
+    wide = 10**17 + np.arange(rows, dtype=np.int64)
+    codes = (np.arange(rows) % 3).astype(np.int8)
+    log = CallLog(CallRecord(wide, wide, wide, codes, codes, wide))
+    path = tmp_path / "wide.csv"
+    write_trace_csv(log, str(path))
+    slice_bytes = traceio._BLOCK_ROWS * traceio._LINE_BYTES
+    assert path.stat().st_size > 6 * slice_bytes
+
+    resident = []
+    parse_rows = traceio._parse_rows
+
+    def measured(body):
+        block = parse_rows(body)
+        resident.append(mapped_resident_bytes())
+        return block
+
+    read_trace_csv(str(path))  # maps in any code the parse touches first
+    monkeypatch.setattr(traceio, "_parse_rows", measured)
+    before = mapped_resident_bytes()
+    parsed = read_trace_csv(str(path))
+    assert len(resident) == rows // traceio._BLOCK_ROWS
+    assert max(resident) - before < 2 * slice_bytes
+    assert all(map(np.array_equal, parsed.columns, log.columns))
 
 
 # -------------------------------------------------------------- summary JSON

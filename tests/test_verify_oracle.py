@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 import reference_verify
 from rumorsim.core import CallKind, CallLog, CallOutcome, CallRecord, init_simulation, run
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
-from rumorsim.verify import _node_ids, verify_summary_against_trace, verify_trace
+from rumorsim.verify import (
+    _first_calls,
+    _group_order,
+    _node_ids,
+    verify_summary_against_trace,
+    verify_trace,
+)
 
 SPECS = [
     Hybrid(1),
@@ -154,3 +160,20 @@ def test_node_ids_are_the_nodes_when_dense_and_compacted_when_sparse():
     nodes, callers, targets = _node_ids(np.array([0, 2000, 2000]), np.array([1000, 3000, 0]))
     assert nodes.tolist() == [0, 1000, 2000, 3000]
     assert (callers.tolist(), targets.tolist()) == ([0, 2, 2], [1, 3, 0])
+
+
+@pytest.mark.parametrize("size, span", [(0, 1), (1, 1), (1000, 7), (5000, 5000), (5000, 20000)])
+def test_grouping_and_first_calls_match_the_sorts_they_replace(size, span):
+    # Random ids: many repeats where the span is below the size, few above.
+    ids = np.random.default_rng(size + span).integers(0, span, size).astype(np.int32)
+    order = _group_order(ids)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+    hit, first = _first_calls(ids, span)
+    expected_hit, expected_first = np.unique(ids, return_index=True)
+    assert np.array_equal(hit, expected_hit) and np.array_equal(first, expected_first)
+
+
+def test_grouping_takes_the_stable_sort_where_its_key_would_overflow():
+    ids = np.array([2**62, 0, 2**62, 5, 0], dtype=np.int64)
+    assert _group_order(ids).tolist() == [1, 4, 3, 0, 2]
