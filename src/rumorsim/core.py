@@ -54,9 +54,9 @@ callers from there on take the stream's following values.  That consumes
 the generator exactly as one scalar draw per value, with a redraw on each
 value the caller already holds, would.
 
-A kept call log is a ``CallLog``: six numpy columns, one entry per call, to
-which the round kernel appends each round's arrays at once.  A
-``CallRecord`` is built only when the log is indexed or iterated.
+A kept call log is a ``CallLog``: per round, its number and its calls as
+int32 caller and target ids and int8 kind and outcome codes, 10 bytes per
+call.  Round and serial columns and ``CallRecord``s are built where read.
 
 Node ids, stack entries and serial positions fit int32, as a stack holds
 at most ``MAX_STACK_NODES`` (2**31 - 1) nodes and refuses more.  So every
@@ -65,8 +65,7 @@ round's target ids and the first-writer scratch with the serial positions
 scattered into it.  Three stay int64.  The callers and the serialization
 ``order``, where one is laid out, index other arrays, and numpy casts a
 narrower index on every fancy index; ``shuffle`` is also fastest on 8-byte
-items.  A kept log's id columns are widened once per round, so the trace
-writer and the verifier read int64 as before.
+items.  A kept log's columns are int32 too.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -137,21 +136,45 @@ class CallRecord(NamedTuple):
         k = [_KIND_CODE[kind] for kind in k]
         o = [_OUTCOME_CODE[outcome] for outcome in o]
         return cls._make(
-            np.array(values, dtype) for values, dtype in zip((r, c, t, k, o, s), COLUMN_DTYPES)
+            _fitted(np.array(values, np.int64), dtype)
+            for values, dtype in zip((r, c, t, k, o, s), COLUMN_DTYPES)
         )
 
 
-# Each CallLog column's dtype, by field.
-COLUMN_DTYPES = CallRecord(np.int64, np.int64, np.int64, np.int8, np.int8, np.int64)
+# Each CallLog column's dtype, by field; an integer column whose values do
+# not all fit int32 is int64.
+COLUMN_DTYPES = CallRecord(np.int32, np.int32, np.int32, np.int8, np.int8, np.int32)
+
+
+def _fitted(values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` as ``dtype`` where every value fits, else as they are."""
+    info = np.iinfo(dtype)
+    fits = not len(values) or info.min <= values.min() and values.max() <= info.max
+    return values.astype(dtype, copy=False) if fits else values
+
+
+def _rows(chunk: CallRecord, field: int, begin: int, end: int, serial=None) -> np.ndarray:
+    """Field ``field`` of a log chunk's rows ``begin`` to ``end``.  A kept
+    round holds its number as ``round`` and no ``serial_position``: it
+    derives both, or reads ``serial`` as each serial position if given."""
+    values = chunk[field]
+    if isinstance(values, np.ndarray):
+        return values[begin:end]
+    if field == 0 or serial is not None:
+        return np.broadcast_to(np.int32(values if field == 0 else serial), (end - begin,))
+    return np.arange(begin, end, dtype=np.int32)
 
 
 class CallLog(Sequence):
     """A call trace as six numpy columns, one entry per call, in trace order.
 
     ``columns`` is a ``CallRecord`` whose fields are the arrays: round,
-    caller, target and serial_position as int64; kind and outcome as int8
-    codes, each a member's index in its enum's declaration order.  Indexing
-    and iteration build ``CallRecord``s on demand; a slice is a ``CallLog``.
+    caller, target and serial_position as int32, or int64 where a value
+    does not fit; kind and outcome as int8 codes, each a member's index in
+    its enum's declaration order.  A kept log's rounds are joined on the
+    first read of ``columns``; ``blocks`` reads them without joining.
+    Indexing and iteration build ``CallRecord``s on demand; a slice is a
+    ``CallLog``.
     """
 
     def __init__(self, columns: CallRecord | None = None):
@@ -159,25 +182,40 @@ class CallLog(Sequence):
             columns = CallRecord._make(np.empty(0, dtype) for dtype in COLUMN_DTYPES)
         self._chunks = [columns]
 
-    def append_columns(self, chunk: CallRecord) -> None:
-        """Append calls given as a ``CallRecord`` of equal-length arrays."""
-        self._chunks.append(chunk)
+    def append_round(self, number: int, caller, target, kind, outcome) -> None:
+        """Append one round's calls in serial order: int32 caller and target
+        ids and int8 kind and outcome codes."""
+        self._chunks.append(CallRecord(number, caller, target, kind, outcome, None))
+
+    def blocks(self, rows: int) -> Iterator[CallRecord]:
+        """The columns, at most ``rows`` calls at a time, chunk by chunk."""
+        for chunk in self._chunks:
+            for begin in range(0, len(chunk.caller), rows):
+                end = min(begin + rows, len(chunk.caller))
+                yield CallRecord._make(_rows(chunk, j, begin, end) for j in range(len(chunk)))
 
     @property
     def columns(self) -> CallRecord:
-        if len(self._chunks) > 1:
-            # Join field by field, dropping each field's chunks once joined,
-            # so the log is held once plus one column, not twice.
-            fields = [list(field) for field in zip(*self._chunks)]
-            self._chunks = []
-            joined = []
-            while fields:
-                joined.append(np.concatenate(fields.pop(0)))
+        chunks = self._chunks
+        if len(chunks) > 1 or chunks[0].serial_position is None:
+            # Join field by field.  Each chunk then reads that field from
+            # the joined column, which frees its own array: the log is held
+            # about once plus one column, and stays whole if a join fails.
+            ends = list(itertools.accumulate(len(chunk.caller) for chunk in chunks))
+            spans, joined = list(zip([0, *ends], ends)), []
+            for j, field in enumerate(CallRecord._fields):
+                column = np.concatenate([_rows(c, j, 0, len(c.caller), 1) for c in chunks])
+                for i, (a, b) in enumerate(spans):
+                    if chunks[i][j] is None:  # a kept round's serial positions, counted in place
+                        np.cumsum(column[a:b], out=column[a:b])
+                        column[a:b] -= 1
+                    chunks[i] = chunks[i]._replace(**{field: column[a:b]})
+                joined.append(column)
             self._chunks = [CallRecord._make(joined)]
         return self._chunks[0]
 
     def __len__(self) -> int:
-        return sum(len(chunk.round) for chunk in self._chunks)
+        return sum(len(chunk.caller) for chunk in self._chunks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -688,19 +726,6 @@ def _resolve(stack: _Stack, entries: np.ndarray, order: np.ndarray | None) -> np
     return outcomes
 
 
-def _log_rows(calls: _Calls, serial, executed_round, targets, kinds, outcomes) -> CallRecord:
-    """One world's calls of the round as log columns in serial order, given
-    its calls' indices in that order; ids widen to the log's int64."""
-    return CallRecord(
-        np.full(len(serial), executed_round, dtype=np.int64),
-        calls.caller_ids(serial),
-        targets[serial].astype(np.int64),
-        kinds[serial],
-        outcomes[serial],
-        np.arange(len(serial), dtype=np.int64),
-    )
-
-
 def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     """Execute one synchronous round in each of ``worlds``: worlds of one
     stack, in stack order, at one round number.  Returns which stalled.
@@ -763,9 +788,9 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     outcomes = _resolve(stack, calls.entries(targets), order)
     for world, a, b in zip(calling, bounds, bounds[1:]):
         if world.log is not None:
-            world.log.append_columns(
-                _log_rows(calls, order[a:b], executed_round, targets, kinds, outcomes)
-            )
+            serial = order[a:b]
+            world.log.append_round(executed_round, calls.caller_ids(serial).astype(np.int32),
+                                   targets[serial], kinds[serial], outcomes[serial])
     # Settle with the serialization freed: together they would set the
     # round's peak memory.
     del order

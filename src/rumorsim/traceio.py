@@ -3,13 +3,14 @@
 All writers produce byte-stable output for fixed inputs: fixed field
 order, LF line endings, and floats rendered at six significant digits.
 
-The call trace is written from a ``CallLog``'s columns and parsed back into
-one by numpy operations over the file's bytes, a block of rows at a time,
-with no Python object per row or per cell.  The writer's bytes are those of
-``csv.writer`` on the records; each block's bytes go straight to the file.
-The parser finds its blocks in one pass over the bytes, which counts the
-lines and notes where every ``_BLOCK_ROWS``-th one ends, and fills columns
-allocated once, with an entry per line.  A regular file is mapped, and the
+The call trace is written from a ``CallLog``'s blocks (a kept log is not
+joined) and parsed back into one by numpy operations over the file's bytes,
+a block of rows at a time, with no Python object per row or per cell.  The
+writer's bytes are those of ``csv.writer`` on the records.  The parser finds
+its blocks in one pass over the bytes, which counts the lines and notes
+where every ``_BLOCK_ROWS``-th one ends, and fills int32 columns allocated
+once, one entry per line, widening one to int64 for a value beyond int32.
+A regular file is mapped, and the
 parse lets go of the pages it has read after each slice of that pass and
 after each block, so it holds about one block of the file at a time.  It
 accepts what the writer writes, plus blank lines and CRLF line ends; a
@@ -54,6 +55,7 @@ _CELL_NAMES = CallRecord(
 )
 _MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
 _COMMA, _NEWLINE, _RETURN, _ZERO = b",\n\r0"
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 # Rows written or parsed in one numpy pass: the write and the parse hold
 # the log and one block's temporaries (and the parse one block's bytes).
 _BLOCK_ROWS = 16384
@@ -129,23 +131,27 @@ def _integer_cells(values: np.ndarray):
     """(width, write): the width of the widest decimal text of ``values``,
     and a writer of each one's text, right-aligned, into a rows x width
     array of zeros."""
-    negative = values < 0
-    rest = np.where(negative, -values, values).astype(np.uint64)
+    negative = np.flatnonzero(values < 0)
+    # Each value's magnitude: a negative one's is its negation modulo 2**64.
+    rest = values.astype(np.uint64)
+    rest[negative] = -rest[negative]
     largest = int(rest.max(initial=0))
     if largest < 2**32:
         rest = rest.astype(np.uint32)  # divides faster
-    width = len(str(largest)) + int(negative.any())
+    width = len(str(largest)) + int(len(negative) > 0)
 
     def write(out: np.ndarray) -> None:
         text = np.empty((width, len(values)), dtype=np.uint8)  # one row per place
-        digits, remaining = np.zeros(len(values), dtype=np.int64), rest
+        remaining = rest
         for j in range(width - 1, -1, -1):
-            # The last place always holds a digit, so zero is written as "0".
-            live = (remaining > 0) | (j == width - 1)
-            remaining, digit = np.divmod(remaining, 10)
-            text[j] = (_ZERO + digit) * live
-            digits += live
-        text[width - 1 - digits[negative], negative] = ord("-")
+            quotient = remaining // 10
+            # Leading zeros are blank; the last place always holds a digit,
+            # so zero is written as "0".
+            live = True if j == width - 1 else remaining > 0
+            text[j] = (_ZERO + remaining - 10 * quotient) * live
+            remaining = quotient
+        digits = 1 + np.searchsorted(_POWERS_OF_TEN, rest[negative], side="right")
+        text[width - 1 - digits, negative] = ord("-")
         out[:] = text.T
 
     return width, write
@@ -185,10 +191,9 @@ def _format_rows(columns: CallRecord) -> bytes:
 
 def _trace_pieces(records: Sequence[CallRecord]) -> Iterator[bytes]:
     """The trace CSV's bytes: the header, then each block's lines."""
-    columns = CallRecord.columns_of(records)
+    log = records if isinstance(records, CallLog) else CallLog(CallRecord.columns_of(records))
     yield _HEADER
-    for begin in range(0, len(columns.round), _BLOCK_ROWS):
-        yield _format_rows(CallRecord._make(column[begin : begin + _BLOCK_ROWS] for column in columns))
+    yield from map(_format_rows, log.blocks(_BLOCK_ROWS))
 
 
 def write_trace_csv(records: Sequence[CallRecord], path: str) -> str:
@@ -238,7 +243,7 @@ def _parse_trace(data: bytes) -> CallLog:
         release(at + most)
     if ends[-1] < len(body):
         ends.append(len(body))
-    columns = CallRecord._make(np.empty(lines, dtype) for dtype in COLUMN_DTYPES)
+    columns = [np.empty(lines, dtype) for dtype in COLUMN_DTYPES]
     rows = 0
     for index, (begin, end) in enumerate(zip(ends, ends[1:])):
         # A block longer than its lines could be if each were a row holds
@@ -248,8 +253,10 @@ def _parse_trace(data: bytes) -> CallLog:
             _raise_first_bad_row(data[begin:end].decode("utf-8", "replace"),
                                  2 + index * _BLOCK_ROWS)
         release(end)
-        for column, values in zip(columns, block):
-            column[rows : rows + len(values)] = values
+        for j, values in enumerate(block):
+            if columns[j].dtype == np.int32 and values.max(initial=0) >= 2**31:
+                columns[j] = columns[j].astype(np.int64)
+            columns[j][rows : rows + len(values)] = values
         rows += len(block.round)
     return CallLog(CallRecord._make(column[:rows] for column in columns))
 

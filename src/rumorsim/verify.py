@@ -8,21 +8,21 @@ per-round doubling, and groups the calls by caller.  Given a spec, that
 protocol's rules (``_CALLER_RULES``, by the spec's ``name``) then check
 each caller's calls: kinds, walk chaining, the hybrid encounter budget and
 the list order.  With ``no_crashes=True`` any crashed-target outcome is a
-violation and the identical-lists uselessness property is checked too.  The verifier shares no rules with
-the simulation kernel.
+violation and the identical-lists uselessness property is checked too.
+The verifier shares no rules with the simulation kernel.
 
-The replay is columnar: it reads a ``CallLog``'s ``columns`` (any other
-sequence of ``CallRecord``s is converted to columns first) and builds no
-Python object per call.  What the trace says about each node up to any
-call is held in per-node arrays: where and in which round a call first
-found the node crashed, and which call informed it.  They are indexed by
+The replay is columnar: it reads a ``CallLog``'s int32 or int64 ``columns``
+in place (any other sequence of ``CallRecord``s is converted first) and
+builds no Python object per call.  What the trace says about each node up
+to any call is held in per-node arrays: where and in which round a call
+first found the node crashed, and which call informed it.  They are indexed by
 the node ids themselves when the largest in-range id is below the number
 of call endpoints, and by compacted ids otherwise, so memory follows the
 trace's length, not ``n``.  Ids and trace positions are int32 where they
 fit.  Each check is then a mask over the calls, and each node's first call
 of a kind is found by a scatter-min of call indices, not by a sort.  The
 calls are grouped by caller, in trace order within each caller, by one
-unstable sort of a unique key; the protocol rules run, once the replay's
+in-place sort of a unique key; the protocol rules run, once the replay's
 arrays are released, over those groups, as shifts and cumulative sums
 within each caller's segment, on int32 ids and counts and int8 codes.
 Only the first ``max_violations`` messages, in the documented order, are
@@ -153,7 +153,7 @@ def _node_ids(callers: np.ndarray, targets: np.ndarray):
     size = 1 + int(max(callers.max(initial=-1), targets.max(initial=-1)))
     if size <= 2 * len(callers):
         dtype = _index_dtype(size)
-        return np.arange(size), callers.astype(dtype), targets.astype(dtype)
+        return np.arange(size), callers.astype(dtype, copy=False), targets.astype(dtype, copy=False)
     nodes, ids = np.unique(np.concatenate((callers, targets)), return_inverse=True)
     ids = ids.astype(_index_dtype(len(nodes)))
     return nodes, ids[: len(callers)], ids[len(callers) :]
@@ -163,23 +163,27 @@ def _group_order(ids: np.ndarray) -> np.ndarray:
     """``np.argsort(ids, kind="stable")`` of non-negative ids, in the
     narrowest index dtype.
 
-    One unstable sort of a unique key, each id times ``len(ids)`` plus its
-    position, which is several times faster than numpy's stable sort.  The
-    key is at most (largest id + 1) * len(ids) - 1; node ids are below
+    One unstable in-place sort of a unique key, each id times ``len(ids)``
+    plus its position (added in 64 blocks), several times faster than
+    numpy's stable sort; the sorted key modulo ``len(ids)`` is the order.
+    The key is at most (largest id + 1) * len(ids) - 1; node ids are below
     twice the number of calls (``_node_ids``), so it fits int64 for any
     trace of fewer than 2^31 calls.  A key that would not fit takes the
     stable sort.
     """
     size = len(ids)
     if (int(ids.max(initial=0)) + 1) * size > 2**63:
-        order = np.argsort(ids, kind="stable")
-    else:
-        key = ids.astype(np.int64)
-        key *= size
-        key += np.arange(size)
-        order = np.argsort(key)
-        del key
-    return order.astype(_index_dtype(size))
+        return np.argsort(ids, kind="stable").astype(_index_dtype(size))
+    key = np.multiply(ids, size, dtype=np.int64)
+    step = 1 + size // 64
+    positions = np.arange(step)
+    for begin in range(0, size, step):
+        key[begin : begin + step] += positions[: size - begin]
+        positions += step
+    key.sort()
+    order = np.empty(size, dtype=_index_dtype(size))
+    np.remainder(key, size, out=order, casting="unsafe")
+    return order
 
 
 def _first_calls(ids: np.ndarray, size: int):
@@ -234,7 +238,7 @@ def _replay(columns, n, start, crash_schedule, no_crashes):
     # out-of-range calls, as if they were not in the trace.  A position in
     # the trace, or m for none, fits in ``position``.
     position = _index_dtype(m)
-    at = np.flatnonzero(inside).astype(position)
+    at = np.arange(m, dtype=position) if inside.all() else np.flatnonzero(inside).astype(position)
     del inside
     q = len(at)
     pick = slice(None) if q == m else at  # every call in range: read the columns in place
@@ -479,6 +483,7 @@ def _check_hybrid(found, calls, n, start, spec) -> None:
         opening = (kind != INITIAL_SUCCESSOR) | (calls.values(calls.target) != (start + 1) % n)
         calls.flag(found, "{where}: starting node must open at its successor with an "
                    "initial-successor call", first & is_start & opening, 0, 2)
+        del opening
     calls.flag(found, "{where}: first call of node {caller} must be random",
                first & ~is_start & (kind != RANDOM), 0, 2)
     # The kind each call must have after its caller's previous call.
@@ -495,6 +500,8 @@ def _check_hybrid(found, calls, n, start, spec) -> None:
     )
     # A walk call after an inform or a crashed target steps on.
     steps = ~first & (kind != RANDOM) & (came_after != ALREADY_INFORMED)
+    # Free what the walk check does not read: it would sit beneath its peak.
+    del kind, outcome, came_after, calls.kind, calls.outcome
     _check_walk(found, calls, steps, n)
 
 

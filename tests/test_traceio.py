@@ -215,6 +215,15 @@ def test_trace_csv_writes_any_int64():
     ]
     assert written_text(records) == csv_module_text(records)
     assert written_text([]) == HEADER
+    # Columns that fit int32, extremes included, are held as int32.
+    records = [
+        CallRecord(1, -(2**31), 2**31 - 1, CallKind.RANDOM, CallOutcome.INFORMED, -1),
+        CallRecord(2**31 - 1, 0, -10, CallKind.SEQUENTIAL, CallOutcome.ALREADY_INFORMED, 9),
+    ]
+    assert {column.dtype for column in CallRecord.columns_of(records)} == {
+        np.dtype(np.int32), np.dtype(np.int8)
+    }
+    assert written_text(records) == csv_module_text(records)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 5])
@@ -290,6 +299,36 @@ def test_trace_csv_blocks_write_the_csv_module_bytes(rows, run):
         text = written_text(log)
         assert text == csv_module_text(log)
         assert read_text(text) == log
+
+
+@pytest.mark.parametrize("rows", [2, 7])
+@pytest.mark.parametrize("value", [2**31 - 1, 2**31, 10**18 - 1])
+@pytest.mark.parametrize("field", ["round", "caller", "target", "serial_position"])
+def test_trace_csv_parse_widens_a_column_only_for_a_value_beyond_int32(rows, value, field):
+    # The value sits in the last of several blocks: its column is int32
+    # up to there, and int64 from then on only where int32 cannot hold it.
+    _, records = sample_run()
+    records = records[:20]
+    records[-1] = records[-1]._replace(**{field: value})
+    with block_rows(rows):
+        parsed = read_text(written_text(records))
+    assert parsed == records
+    for name, column in zip(CallRecord._fields, parsed.columns):
+        if name in ("kind", "outcome"):
+            assert column.dtype == np.int8
+        else:
+            assert column.dtype == (np.int64 if name == field and value >= 2**31 else np.int32)
+
+
+def test_trace_csv_write_reads_a_kept_log_without_joining_it(tmp_path):
+    state = init_simulation(Hybrid(4), MEMORY_N, 0, seed=1, keep_log=True)
+    run(state)
+    path = tmp_path / "kept.csv"
+    with block_rows(MEMORY_BLOCK_ROWS):
+        peak = traced_peak(lambda: write_trace_csv(state.log, str(path)))
+    assert len(state.log) > 2**15
+    assert peak < 4 * MEMORY_BLOCK_ROWS * traceio._LINE_BYTES
+    assert path.read_text() == written_text(list(state.log))
 
 
 BAD_ROWS = [

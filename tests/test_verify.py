@@ -16,6 +16,8 @@ from rumorsim.core import (
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
+from test_verify_oracle import assert_same_report_on_int32_and_int64_columns
+
 INITIAL = CallKind.INITIAL_SUCCESSOR
 SEQ = CallKind.SEQUENTIAL
 RANDOM = CallKind.RANDOM
@@ -297,17 +299,18 @@ def test_huge_node_ids_cost_memory_for_the_trace_only():
     )
 
 
-# The traced peak of ``verify_trace`` above the trace's columns, in bytes
-# per call, by protocol.  The replay holds ids and trace positions in int32
-# and groups the calls by one sort of an int64 key; the rules run once the
-# replay's arrays are released, on int32 ids and counts and int8 codes.
-# Measured at n=2^13: hybrid 35.1, identical lists 32.5, independent lists
-# 40.9, push 31.7; hybrid at 2^17, 34.5.  Each pin is under 10% above.
+# The traced peak of ``verify_trace`` above the trace's int32 columns, in
+# bytes per call, by protocol.  The replay reads the columns in place, holds
+# ids and trace positions in int32 and groups the calls by one in-place sort
+# of an int64 key; the rules run once the replay's arrays are released, on
+# int32 ids and counts and int8 codes.  Measured at n=2^13: hybrid 31.2,
+# identical lists 29.3, independent lists 37.9, push 24.6; hybrid at 2^17,
+# 29.4.  Each pin is under 10% above.
 VERIFY_BYTES_PER_CALL = {
-    "hybrid": 38,
-    "quasirandom-identical": 35,
-    "quasirandom-independent": 44,
-    "push": 34,
+    "hybrid": 34,
+    "quasirandom-identical": 32,
+    "quasirandom-independent": 41,
+    "push": 27,
 }
 
 
@@ -471,6 +474,7 @@ def test_forged_trace_trips_its_own_rule(case):
     records, options, message = FORGED_TRACES[case]
     report = verify_trace(records, **options)
     assert any(message in v for v in report.violations), report.violations
+    assert_same_report_on_int32_and_int64_columns(records, options)
 
 
 # ------------------------------------------------------- summary cross-check

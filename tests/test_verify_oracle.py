@@ -153,6 +153,40 @@ def test_verifier_agrees_with_the_oracle_on_sparse_node_ids(data):
     assert_same_report(records, options)
 
 
+def assert_same_report_on_int32_and_int64_columns(records, options):
+    """The report, or the error, on int32 columns equals that on int64
+    columns of the same records."""
+    narrow = CallRecord.columns_of(records)
+    wide = CallRecord._make(column.astype(np.int64) if column.itemsize > 1 else column
+                            for column in narrow)
+    reports = []
+    for columns in (narrow, wide):
+        try:
+            reports.append(verify_trace(CallLog(columns), **options))
+        except ValueError as exc:
+            reports.append(str(exc))
+    assert reports[0] == reports[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verifier_reports_alike_on_int32_and_int64_columns(data):
+    spec, n, start, schedule, _, genuine = data.draw(runs())
+    records = data.draw(edits(genuine, n))
+    # Without the edits' ids of 10**15, every column fits int32.
+    fitting = [r for r in records if max(abs(r.caller), abs(r.target)) < 2**31]
+    for trace in (records, fitting):
+        options = dict(
+            n=data.draw(st.sampled_from([None, n])),
+            spec=data.draw(st.sampled_from([None, spec])),
+            start=data.draw(st.sampled_from([None, start])),
+            crash_schedule=data.draw(st.sampled_from([None, schedule])),
+            no_crashes=data.draw(st.booleans()),
+            max_violations=data.draw(st.sampled_from([3, 1000])),
+        )
+        assert_same_report_on_int32_and_int64_columns(trace, options)
+
+
 def test_node_ids_are_the_nodes_when_dense_and_compacted_when_sparse():
     nodes, callers, targets = _node_ids(np.array([0, 2, 2]), np.array([1, 3, 0]))
     assert nodes.tolist() == [0, 1, 2, 3]
