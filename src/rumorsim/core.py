@@ -26,8 +26,8 @@ as Fisher-Yates draws depend only on the length.
 Worlds live in stacks: a stack holds T independent worlds of one
 ``(spec, n, start)`` in per-node arrays of length T * n, world ``w``'s
 node ``i`` at entry ``w * n + i``.  Each world keeps its own generator,
-crash schedule, counters and call log.  A single run is a one-world stack;
-``run_trials`` runs its trials in larger ones.
+crash schedule, per-round record and call log.  A single run is a one-world
+stack; ``run_trials`` runs its trials in larger ones.
 
 Each protocol's rules live in one private rules class, found in ``_RULES``
 by the spec's ``name``: the per-node arrays it reads, the start node's
@@ -568,7 +568,7 @@ class _Stack:
 
 
 class SimulationState:
-    """One world: its generator, crash schedule, counters and call log.
+    """One world: its generator, crash schedule, per-round record and call log.
 
     Built by ``init_simulation`` (a world alone) or ``init_stack``; its
     nodes are its stack's entries from ``_base`` on, and ``_status`` is the
@@ -587,7 +587,9 @@ class SimulationState:
         self.n = n
         self.start = start
         self.rng = np.random.default_rng(seed)
-        self.round = 0
+        # Per executed round, (calls, informing calls, crashed-target calls):
+        # written by ``_finish_round`` alone; the summary derives from it.
+        self.round_counts: list[tuple[int, int, int]] = []
 
         self.crash_schedule = dict(crash_schedule or {})
         for node, crash_round in self.crash_schedule.items():
@@ -603,15 +605,9 @@ class SimulationState:
         self._crash_ptr = 0
 
         self._status = stack._status[self._base : self._base + n]
-
-        self.total_calls = 0
-        self.informing_calls = 0
-        self.encounter_calls = 0
-        self.crashed_target_calls = 0
-
         self._status[start] = _INFORMED
+        # Uninformed nodes not crashed: the rows do not count crashes.
         self._live_uninformed = n - 1
-        self.per_round_informed: list[int] = [1]
         self.log: CallLog | None = CallLog() if keep_log else None
         self._rules.setup(self)
 
@@ -625,9 +621,14 @@ class SimulationState:
         self._live_uninformed -= int(np.count_nonzero(self._status[nodes] == _UNINFORMED))
         self._status[nodes] = _CRASHED
 
-    def _finish_round(self, executed_round: int, informed: int) -> None:
-        self.round = executed_round
-        self.per_round_informed.append(self.per_round_informed[-1] + informed)
+    @property
+    def round(self) -> int:
+        """Rounds executed so far."""
+        return len(self.round_counts)
+
+    def _finish_round(self, calls: int = 0, informed: int = 0, crashed: int = 0) -> None:
+        self._live_uninformed -= informed
+        self.round_counts.append((calls, informed, crashed))
 
 
 def init_stack(
@@ -679,9 +680,9 @@ def init_simulation(
     return state
 
 
-def _empty_round(state: SimulationState, executed_round: int) -> bool:
+def _empty_round(state: SimulationState) -> bool:
     """Close a round without calls; whether the world stalled."""
-    state._finish_round(executed_round, 0)
+    state._finish_round()
     return state._live_uninformed > 0
 
 
@@ -742,8 +743,8 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     they are laid out only when the rules read the outcomes or a world
     keeps a log; otherwise each world's generator takes the permutation's
     draws on the stack's zero-stride view, and the first calls in caller
-    order inform: the informed set, the counters and the rules' state come
-    out the same.
+    order inform: the informed set, the round's counts and the rules' state
+    come out the same.
     ``tests/reference_engine.py`` applies the same calls one by one; the
     test suite asserts that both produce the same records, state, and RNG
     consumption.
@@ -763,7 +764,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         a, b = edges[world._index], edges[world._index + 1]
         if world._live_uninformed == 0 or a == b:
             # Crashes just completed the world, or no one is left to call.
-            stalled.append(_empty_round(world, executed_round))
+            stalled.append(_empty_round(world))
         else:
             stalled.append(False)
             calling.append(world)
@@ -799,12 +800,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     informs = _per_world_counts(outcomes == _O_INFORMED, bounds)
     crashes = _per_world_counts(outcomes == _O_CRASHED, bounds)
     for world, a, b, informed, crashed in zip(calling, bounds, bounds[1:], informs, crashes):
-        world.total_calls += b - a
-        world.informing_calls += informed
-        world.encounter_calls += b - a - informed - crashed
-        world.crashed_target_calls += crashed
-        world._live_uninformed -= informed
-        world._finish_round(executed_round, informed)
+        world._finish_round(b - a, informed, crashed)
     return stalled
 
 
@@ -816,16 +812,19 @@ def execute_round(state: SimulationState) -> bool:
 
 
 def _summary(state: SimulationState, outcome: str) -> TraceSummary:
+    """The world's summary, from the columns of its per-round record."""
+    calls, informs, crashes = tuple(zip(*state.round_counts)) or ((), (), ())
+    total, informing, crashed = sum(calls), sum(informs), sum(crashes)
     return TraceSummary(
         n=state.n,
         outcome=outcome,
         completion_round=state.round if outcome == RUN_COMPLETED else None,
         rounds_executed=state.round,
-        total_calls=state.total_calls,
-        informing_calls=state.informing_calls,
-        encounter_calls=state.encounter_calls,
-        crashed_target_calls=state.crashed_target_calls,
-        per_round_informed=tuple(state.per_round_informed),
+        total_calls=total,
+        informing_calls=informing,
+        encounter_calls=total - informing - crashed,
+        crashed_target_calls=crashed,
+        per_round_informed=tuple(itertools.accumulate(informs, initial=1)),
     )
 
 

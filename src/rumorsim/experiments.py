@@ -37,7 +37,7 @@ from .core import (
     CallLog,
     TraceSummary,
     default_round_cap,
-    init_simulation,
+    init_simulation,  # not called here; importable for callers that patch it by name
     init_stack,
     run,  # not called here; importable for callers that patch it by name
     run_stack,
@@ -260,30 +260,33 @@ def _thread_count() -> int | None:
 _IMPORT_THREADS = _thread_count()
 
 
-def _trial_inputs(config: ExperimentConfig, trial: int):
-    """(simulation seed, crash schedule) of one trial of a batch."""
-    crash_seed, sim_seed = trial_seed_sequences(
-        config.master_seed, trial, config.seed_group
+def _trial_worlds(config: ExperimentConfig, first: int, stop: int):
+    """The fully seeded round-0 worlds of trials ``first`` to ``stop - 1``
+    of a batch, built as one stack."""
+    seeds, schedules = [], []
+    for trial in range(first, stop):
+        crash_seed, sim_seed = trial_seed_sequences(config.master_seed, trial, config.seed_group)
+        schedule = None
+        if config.crash is not None and config.crash.fraction > 0:
+            rng = np.random.default_rng(crash_seed)
+            schedule = generate_crash_schedule(config.n, config.crash, rng, config.start)
+        seeds.append(sim_seed)
+        schedules.append(schedule)
+    return init_stack(
+        config.spec,
+        config.n,
+        config.start,
+        seeds,
+        schedules,
+        allow_self_calls=config.allow_self_calls,
+        keep_log=(config.retention == RETAIN_TRACE),
     )
-    schedule = None
-    if config.crash is not None and config.crash.fraction > 0:
-        rng = np.random.default_rng(crash_seed)
-        schedule = generate_crash_schedule(config.n, config.crash, rng, config.start)
-    return sim_seed, schedule
 
 
 def build_trial_state(config: ExperimentConfig, trial: int):
     """The fully seeded simulation state for one trial of a batch."""
-    sim_seed, schedule = _trial_inputs(config, trial)
-    return init_simulation(
-        config.spec,
-        config.n,
-        config.start,
-        seed=sim_seed,
-        crash_schedule=schedule,
-        allow_self_calls=config.allow_self_calls,
-        keep_log=(config.retention == RETAIN_TRACE),
-    )
+    (state,) = _trial_worlds(config, trial, trial + 1)
+    return state
 
 
 def _stacks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, int, int]]:
@@ -298,19 +301,9 @@ def _stacks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, int, int]]
 def _run_stack(config: ExperimentConfig, first: int, stop: int):
     """Summaries of trials ``first`` to ``stop - 1`` of a batch, run as one
     stack, and their call logs when the batch keeps traces (else None)."""
-    seeds, schedules = zip(*(_trial_inputs(config, trial) for trial in range(first, stop)))
-    keep_log = config.retention == RETAIN_TRACE
-    worlds = init_stack(
-        config.spec,
-        config.n,
-        config.start,
-        seeds,
-        schedules,
-        allow_self_calls=config.allow_self_calls,
-        keep_log=keep_log,
-    )
+    worlds = _trial_worlds(config, first, stop)
     summaries = run_stack(worlds, config.max_rounds)
-    return summaries, [world.log for world in worlds] if keep_log else None
+    return summaries, [world.log for world in worlds] if config.retention == RETAIN_TRACE else None
 
 
 def _pool_workers(jobs) -> int:

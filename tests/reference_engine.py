@@ -131,7 +131,6 @@ def apply_call(
     """
     caller, target, kind = intent.caller, intent.target, intent.kind
     record_round = state.round + 1
-    state.total_calls += 1
     spec = state.spec
     target_status = state._status[target]
     # A hybrid node's next target; -1 while it is pending a random call.
@@ -140,7 +139,6 @@ def apply_call(
 
     if target_status == _CRASHED:
         outcome = _O_CRASHED
-        state.crashed_target_calls += 1
         if spec.name == "hybrid":
             if next_target[entry] >= 0:
                 next_target[entry] = (target + 1) % state.n
@@ -149,9 +147,7 @@ def apply_call(
             _advance_list_caller(state, caller, target)
     elif target_status == _UNINFORMED:
         outcome = _O_INFORMED
-        state.informing_calls += 1
         state._status[target] = _INFORMED
-        state._live_uninformed -= 1
         if spec.name == "hybrid":
             # The target is pending since round 0: a freshly informed node
             # opens with a random call; only the starting node begins on
@@ -162,7 +158,6 @@ def apply_call(
             # The target picks its own list position at its first call.
     else:
         outcome = _O_ALREADY
-        state.encounter_calls += 1
         if spec.name == "hybrid":
             encounters = state._rules.encounters
             encounters[entry] += 1
@@ -196,19 +191,22 @@ def reference_log(state: SimulationState) -> list[CallRecord]:
 
 def execute_round_reference(state: SimulationState) -> bool:
     """Per-call statement of ``core.execute_round``; usable as ``run``'s
-    ``round_engine``.  Returns whether the round stalled."""
-    executed_round = state.round + 1
-    state._apply_crashes(executed_round)
+    ``round_engine``.  Returns whether the round stalled.  The round's
+    outcomes are tallied from its records and handed to the world's
+    record once, as the round closes."""
+    state._apply_crashes(state.round + 1)
     if state._live_uninformed == 0:
-        return _empty_round(state, executed_round)
+        return _empty_round(state)
     intents = collect_intents(state)
     k = len(intents)
     if k == 0:
-        return _empty_round(state, executed_round)
+        return _empty_round(state)
     order = state.rng.permutation(k)
-    informed = 0
-    for position, intent_index in enumerate(order):
-        record = apply_call(state, intents[int(intent_index)], position)
-        informed += record.outcome is CallOutcome.INFORMED
-    state._finish_round(executed_round, informed)
+    outcomes = [
+        apply_call(state, intents[int(intent_index)], position).outcome
+        for position, intent_index in enumerate(order)
+    ]
+    state._finish_round(
+        k, outcomes.count(CallOutcome.INFORMED), outcomes.count(CallOutcome.CRASHED_TARGET)
+    )
     return False

@@ -113,9 +113,7 @@ def test_init_hybrid_start_walks_own_successor():
     assert rules_array(state, "next_target")[0] == 1
     # Only the start begins in debt: its first encounter is free.
     assert rules_array(state, "encounters").tolist() == [-1, 0, 0, 0]
-    assert state.per_round_informed == [1]
-    assert state.total_calls == 0
-    assert state.informing_calls == 0
+    assert (state.round, state.round_counts) == (0, [])
     assert (state._status[1:] == _UNINFORMED).all()
 
 
@@ -192,9 +190,8 @@ def test_node_informed_this_round_makes_no_call_yet():
     # wait for round 2.
     state = init_simulation(Hybrid(1), 4, 0, seed=7)
     assert execute_round(state) is False
-    assert state.total_calls == 1
+    assert state.round_counts == [(1, 1, 0)]
     assert state._status[1] == _INFORMED
-    assert state.per_round_informed == [1, 2]
 
 
 def test_informing_caller_walks_on_from_its_target():
@@ -214,7 +211,6 @@ def test_apply_call_informs_and_advances_walk():
     assert state._status[3] == _INFORMED
     assert (record.caller, record.target) == (0, 3)
     assert rules_array(state, "next_target")[0] == 4
-    assert (state.total_calls, state.informing_calls) == (1, 1)
 
 
 def test_apply_call_final_encounter_stops_the_caller():
@@ -258,17 +254,16 @@ def test_apply_call_crashed_target_costs_no_budget():
     # The start is still walking, its free encounter unspent.
     assert rules_array(state, "encounters")[0] == -1
     assert rules_array(state, "next_target")[0] == 4
-    assert state.crashed_target_calls == 1
 
 
 def test_quasirandom_encounter_changes_no_caller_state():
     state = init_simulation(Quasirandom("identical"), 8, 0, seed=7)
     apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 0)
     before = [array[0] for array in world_arrays(state).values()]
-    apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 1)
+    record = apply_call(state, CallIntent(0, 3, CallKind.SEQUENTIAL), 1)
+    assert record.outcome == CallOutcome.ALREADY_INFORMED
     assert [array[0] for array in world_arrays(state).values()] == before
     assert state._status[0] == _INFORMED
-    assert state.encounter_calls == 1
 
 
 # ------------------------------------------------- golden traces (n=4, R=1)
@@ -500,6 +495,61 @@ def test_nonzero_start_node():
     assert (first.caller, first.target, first.kind) == (5, 6, CallKind.INITIAL_SUCCESSOR)
     report = verify_trace(state.log, n=16, spec=Hybrid(1), start=5, no_crashes=True)
     assert report.ok, report.violations[:3]
+
+
+def trace_round_counts(log, rounds):
+    """(calls, informs, crashed-target calls) of rounds 1 to ``rounds``,
+    counted from a trace's round and outcome columns alone."""
+    columns = log.columns
+    outcome_code = {outcome: code for code, outcome in enumerate(CallOutcome)}
+    per_round = [
+        np.bincount(columns.round[mask], minlength=rounds + 1)[1:]
+        for mask in (
+            slice(None),
+            columns.outcome == outcome_code[CallOutcome.INFORMED],
+            columns.outcome == outcome_code[CallOutcome.CRASHED_TARGET],
+        )
+    ]
+    return list(zip(*(counts.tolist() for counts in per_round)))
+
+
+ROW_CRASHES = [
+    None,
+    CrashModel(0.3, "at_start"),
+    CrashModel(0.5, "uniform_round", max_round=6),
+    CrashModel(0.9, "at_start"),
+    # Every node but the start, after round 1: round 2 has no one to inform.
+    CrashModel(0.96, "fixed_round", round=2),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_round_counts_match_the_trace(spec):
+    # Each world's rows, alone and stacked, are its own trace's per-round
+    # counts; a round without calls (crashes completed the world, or no
+    # caller is left) reads (0, 0, 0).
+    n, empty_rows = 24, 0
+    for crash, allow_self_calls in itertools.product(ROW_CRASHES, (True, False)):
+        seeds = range(6)
+        schedules = [
+            None if crash is None
+            else generate_crash_schedule(n, crash, np.random.default_rng(seed), 2)
+            for seed in seeds
+        ]
+        options = dict(allow_self_calls=allow_self_calls, keep_log=True)
+        alone = [
+            init_simulation(spec, n, 2, seed=seed, crash_schedule=schedule, **options)
+            for seed, schedule in zip(seeds, schedules)
+        ]
+        for world in alone:
+            run(world)
+        stacked = init_stack(spec, n, 2, list(seeds), schedules, **options)
+        run_stack(stacked)
+        for world in alone + stacked:
+            assert world.round == len(world.round_counts)
+            assert world.round_counts == trace_round_counts(world.log, world.round)
+            empty_rows += world.round_counts.count((0, 0, 0))
+    assert empty_rows > 0
 
 
 # ------------------------------------------------- fast engine == reference
@@ -920,7 +970,7 @@ def test_round_allocates_no_per_node_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not stalled and state.total_calls == 1
+    assert not stalled and state.round_counts == [(1, 1, 0)]
     assert peak / n < 2
 
 

@@ -112,6 +112,25 @@ def test_trace_csv_file_round_trip(tmp_path):
     assert b"\r" not in path.read_bytes()
 
 
+SLICES = [slice(3, 17), slice(None, None, 3), slice(-10, -2), slice(-5, None),
+          slice(None, None, -2), slice(-2, -40, -3), slice(5, 5)]
+
+
+@pytest.mark.parametrize("index", SLICES, ids=str)
+def test_call_log_slice_is_the_call_log_of_its_records(index):
+    # A kept log and the log parsed back from its file slice alike.
+    state = init_simulation(Hybrid(2), 32, 0, seed=5, keep_log=True)
+    run(state)
+    for log in (state.log, read_text(written_text(state.log))):
+        part = log[index]
+        expected = CallLog(CallRecord.columns_of(list(log)[index]))
+        assert isinstance(part, CallLog)
+        assert part == expected
+        assert list(part) == list(log)[index]
+        assert [c.dtype for c in part.columns] == [c.dtype for c in log.columns]
+        assert [c.dtype for c in part.columns] == [c.dtype for c in expected.columns]
+
+
 def test_trace_csv_header_first_line():
     _, records = sample_run()
     first = written_text(records).splitlines()[0]
