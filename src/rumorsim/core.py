@@ -36,12 +36,13 @@ from the round's outcome codes, the ones a kept log records.
 ``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
 one world and by ``run_stack`` for a stack.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
-calls, in caller (ascending entry) order: the serialization only breaks
-ties among calls to the same uninformed target, which a scatter-min of
-serial positions resolves, and orders a kept log.  Where no rules read a
-tie's winner and no log is kept, caller positions stand in for serial
-positions: only which of the tied calls is labelled the winner changes.
-Entries of different worlds never collide, so the worlds cannot interact.
+calls, a block of ``_BLOCK_CALLS`` at a time.  The serialization only
+breaks ties among calls to the same uninformed target, which a pass in
+serial order resolves by a scatter-min of positions in each block, and
+orders a kept log.  Where no rules read a tie's winner and no log is
+kept, caller order stands in for serial order: only which of the tied
+calls is labelled the winner changes.  Entries of different worlds never
+collide, so the worlds cannot interact.
 The test suite keeps a per-call statement of the same semantics
 (``tests/reference_engine.py``) as the oracle the kernel is checked
 against.
@@ -60,12 +61,13 @@ call.  Round and serial columns and ``CallRecord``s are built where read.
 
 Node ids, stack entries and serial positions fit int32, as a stack holds
 at most ``MAX_STACK_NODES`` (2**31 - 1) nodes and refuses more.  So every
-per-node array is int32 or narrower (the status is int8), and so are the
-round's target ids and the first-writer scratch with the serial positions
-scattered into it.  Three stay int64.  The callers and the serialization
-``order``, where one is laid out, index other arrays, and numpy casts a
-narrower index on every fancy index; ``shuffle`` is also fastest on 8-byte
-items.  A kept log's columns are int32 too.
+per-node array is int32 or narrower (the status is int8, and hybrid's
+encounter counts int16 below a budget of 2**15), and so is every array of
+one entry per call that lasts a round: the callers, target ids and a
+laid-out order are int32, the kind and outcome codes int8.  (A round of
+one block shuffles an int64 order: ``shuffle`` is fastest on 8-byte
+items.)  Other temporaries are the size of a block.  A kept log's columns
+are int32 too.
 """
 
 from __future__ import annotations
@@ -104,10 +106,17 @@ _UNINFORMED, _INFORMED, _STOPPED, _CRASHED = 0, 1, 2, 3
 _K_INITIAL, _K_SEQUENTIAL, _K_RANDOM = 0, 1, 2
 _O_INFORMED, _O_ALREADY, _O_CRASHED = 0, 1, 2
 _NO_SERIAL = np.iinfo(np.int32).max
+# A call's outcome code by its target's status at round start; a call to an
+# uninformed target is open, coded ``_O_INFORMED`` until it finds it informed.
+_STATUS_OUTCOMES = np.array([_O_INFORMED, _O_ALREADY, _O_ALREADY, _O_CRASHED], dtype=np.int8)
 
 # Most nodes in one stack: node ids, stack entries and serial positions are
 # held as int32.
 MAX_STACK_NODES = 2**31 - 1
+
+# Calls per block: beyond its int32 and int8 arrays of one entry per call,
+# a round's temporaries are block-sized.  No result depends on it.
+_BLOCK_CALLS = 2**15
 
 # Code -> member tables; each enum's declaration order is its code order.
 _KIND_ENUM = tuple(CallKind)
@@ -276,9 +285,9 @@ def default_round_cap(n: int) -> int:
 class _Calls:
     """One round's calls of the calling worlds of a stack, in caller order.
 
-    ``callers`` are stack entries, ascending; ``worlds[j]`` placed calls
-    ``bounds[j]`` up to ``bounds[j + 1]``, and ``starts[j]`` is its start's
-    entry.
+    ``callers`` are int32 stack entries, ascending; ``worlds[j]`` placed
+    calls ``bounds[j]`` up to ``bounds[j + 1]``, and ``starts[j]`` is its
+    start's entry.
     """
 
     __slots__ = ("worlds", "bounds", "callers", "starts", "_offsets")
@@ -290,27 +299,40 @@ class _Calls:
         # Each call's world's first entry; in a one-world stack, 0.
         self._offsets = None if stack.count == 1 else np.repeat(bases, np.diff(bounds))
 
-    def caller_ids(self, picked: np.ndarray | None = None) -> np.ndarray:
-        """Node ids of the picked callers (every caller when None)."""
-        callers = self.callers if picked is None else self.callers[picked]
-        if self._offsets is None:
-            return callers
-        return callers - (self._offsets if picked is None else self._offsets[picked])
+    def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``(s, e, c)`` per block of calls ``s`` to ``e``, ``c`` their int32
+        callers: ``np.take`` gathers by them as fast as by intp ones, and a
+        scatter converts them, as fancy indexing by int32 is slower."""
+        for s in range(0, len(self.callers), _BLOCK_CALLS):
+            yield s, min(s + _BLOCK_CALLS, len(self.callers)), self.callers[s : s + _BLOCK_CALLS]
 
-    def entries(self, ids: np.ndarray) -> np.ndarray:
-        """Stack entries of node ids given one per call, each in its
-        caller's world."""
-        return ids if self._offsets is None else ids + self._offsets
+    def split(self, s: int, e: int) -> tuple[list, list[int]]:
+        """The worlds with calls among calls ``s`` to ``e``, and where each
+        one's calls there begin, then end, counted from ``s``."""
+        lo, hi = bisect.bisect_right(self.bounds, s) - 1, bisect.bisect_left(self.bounds, e)
+        return self.worlds[lo:hi], [0, *(b - s for b in self.bounds[lo + 1 : hi]), e - s]
+
+    def caller_ids(self, at=slice(None)) -> np.ndarray:
+        """Node ids of the callers of the calls at ``at`` (a slice or indices)."""
+        callers = self.callers[at]
+        return callers if self._offsets is None else callers - self._offsets[at]
+
+    def entries(self, ids: np.ndarray, at) -> np.ndarray:
+        """Stack entries of target ids of the calls at ``at``."""
+        return ids if self._offsets is None else ids + self._offsets[at]
 
 
-def _draw_integers(calls: _Calls, high: int, picked: np.ndarray | None = None) -> np.ndarray:
-    """``integers(0, high)`` for each picked call (every call when None),
-    given as ascending call indices: one draw of each world's generator for
-    its picked calls, in caller order; a world with none draws nothing."""
-    bounds = calls.bounds if picked is None else picked.searchsorted(calls.bounds).tolist()
+def _draw_integers(calls: _Calls, high: int, s: int, e: int, picked=None) -> np.ndarray:
+    """``integers(0, high)`` for each picked call among calls ``s`` to ``e``
+    (all when None), given as ascending indices from ``s``: one draw of each
+    world's generator for its picked calls, in caller order; a world with
+    none draws nothing.  Draws split across blocks take one draw's values."""
+    worlds, cuts = calls.split(s, e)
+    if picked is not None:
+        cuts = picked.searchsorted(cuts).tolist()
     parts = [
         world.rng.integers(0, high, size=b - a, dtype=np.int32)
-        for world, a, b in zip(calls.worlds, bounds, bounds[1:])
+        for world, a, b in zip(worlds, cuts, cuts[1:])
         if b > a
     ]
     if len(parts) == 1:
@@ -318,13 +340,13 @@ def _draw_integers(calls: _Calls, high: int, picked: np.ndarray | None = None) -
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
 
-def _random_targets(stack: _Stack, calls: _Calls, picked: np.ndarray | None = None) -> np.ndarray:
-    """Uniformly random target ids for the picked calls; with self-calls
-    off, a draw over the other n - 1 nodes."""
+def _random_targets(stack: _Stack, calls: _Calls, s: int, e: int, picked=None) -> np.ndarray:
+    """Uniformly random target ids of calls picked as ``_draw_integers``
+    picks them; with self-calls off, a draw over the other n - 1 nodes."""
     if stack.allow_self_calls:
-        return _draw_integers(calls, stack.n, picked)
-    targets = _draw_integers(calls, stack.n - 1, picked)
-    targets[targets >= calls.caller_ids(picked)] += 1
+        return _draw_integers(calls, stack.n, s, e, picked)
+    targets = _draw_integers(calls, stack.n - 1, s, e, picked)
+    targets[targets >= calls.caller_ids(slice(s, e) if picked is None else picked + s)] += 1
     return targets
 
 
@@ -350,9 +372,9 @@ class _Rules:
         """Round-0 state of one world's start node."""
 
     def draw(self, stack: _Stack, calls: _Calls):
-        """(target ids, kinds) of the round's calls; every random draw of
-        the round before the serialization permutation happens here, each
-        world's in its callers' order."""
+        """(int32 target ids, int8 kinds) of the round's calls; every random
+        draw of the round before the serialization permutation happens
+        here, block by block, each world's in its callers' order."""
         raise NotImplementedError
 
     def settle(self, stack, calls, targets, outcomes) -> None:
@@ -378,7 +400,8 @@ class _HybridRules(_Rules):
     def __init__(self, spec, n, entries):
         self.stop_budget = spec.stop_budget
         self.next_target = np.full(entries, -1, dtype=np.int32)
-        self.encounters = np.zeros(entries, dtype=np.int32)
+        # A count runs from -1 up to the budget at most.
+        self.encounters = np.zeros(entries, np.int16 if spec.stop_budget < 2**15 else np.int32)
 
     def setup(self, state):
         entry = state._base + state.start
@@ -386,35 +409,37 @@ class _HybridRules(_Rules):
         self.encounters[entry] = -1
 
     def draw(self, stack, calls):
-        callers = calls.callers
-        targets = self.next_target[callers]
-        pending = np.flatnonzero(targets < 0)
-        targets[pending] = _random_targets(stack, calls, pending)
-        kinds = np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
-        kinds[pending] = _K_RANDOM
+        targets = np.empty(len(calls.callers), dtype=np.int32)
+        kinds = np.empty(len(targets), dtype=np.int8)
+        for s, e, c in calls.blocks():
+            block = self.next_target.take(c, out=targets[s:e])
+            pending = block < 0
+            # Random if pending (``_K_RANDOM`` is ``_K_SEQUENTIAL + 1``).
+            np.add(pending, _K_SEQUENTIAL, out=kinds[s:e], dtype=np.int8)
+            pending = np.flatnonzero(pending)
+            block[pending] = _random_targets(stack, calls, s, e, pending)
         # Only a start can be in debt, and an indebted start is informed and
         # not stopped, so a caller; callers arrive sorted.
         walking = calls.starts[self.encounters[calls.starts] < 0]
-        kinds[np.searchsorted(callers, walking)] = _K_INITIAL
+        kinds[np.searchsorted(calls.callers, walking)] = _K_INITIAL
         return targets, kinds
 
     def settle(self, stack, calls, targets, outcomes):
-        callers = calls.callers
-        already = outcomes == _O_ALREADY
-        # An informing caller, or a walker whose target crashed (no budget
-        # spent), walks on; an encounter, or a pending caller's crashed
-        # target, leaves it pending, as freshly informed nodes are.
-        following = _successors(targets, stack.n)
-        following[already | ((outcomes == _O_CRASHED) & (self.next_target[callers] < 0))] = -1
-        self.next_target[callers] = following
-        # Free it before the budget block allocates: together they would
-        # set the round's peak memory.
-        del following
-
-        ac = callers[already]
-        bumped = self.encounters[ac] + 1
-        self.encounters[ac] = bumped
-        stack._status[ac[bumped >= self.stop_budget]] = _STOPPED
+        for s, e, c in calls.blocks():
+            c, outcome = c.astype(np.intp), outcomes[s:e]
+            already = outcome == _O_ALREADY
+            # An informing caller, or a walker whose target crashed (no
+            # budget spent), walks on; an encounter, or a pending caller's
+            # crashed target, leaves it pending, as freshly informed nodes are.
+            following = _successors(targets[s:e], stack.n)
+            pending = self.next_target.take(c) < 0
+            restart = already | ((outcome == _O_CRASHED) & pending)
+            np.putmask(following, restart, -1)
+            self.next_target[c] = following
+            ac = c.compress(already)
+            bumped = self.encounters.take(ac) + 1
+            self.encounters[ac] = bumped
+            stack._status[ac.compress(bumped >= self.stop_budget)] = _STOPPED
 
 
 class _SharedListRules(_Rules):
@@ -430,15 +455,18 @@ class _SharedListRules(_Rules):
         self.next_target[state._base + state.start] = int(state.rng.integers(0, state.n))
 
     def draw(self, stack, calls):
-        targets = self.next_target[calls.callers]
-        # A node informed by a call picks its position at its first call.
-        undrawn = np.flatnonzero(targets < 0)
-        if len(undrawn):
-            targets[undrawn] = _draw_integers(calls, stack.n, undrawn)
+        targets = np.empty(len(calls.callers), dtype=np.int32)
+        for s, e, c in calls.blocks():
+            block = self.next_target.take(c, out=targets[s:e])
+            # A node informed by a call picks its position at its first call.
+            undrawn = np.flatnonzero(block < 0)
+            if len(undrawn):
+                block[undrawn] = _draw_integers(calls, stack.n, s, e, undrawn)
         return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
 
     def settle(self, stack, calls, targets, outcomes):
-        self.next_target[calls.callers] = _successors(targets, stack.n)
+        for s, e, c in calls.blocks():
+            self.next_target[c.astype(np.intp)] = _successors(targets[s:e], stack.n)
 
 
 class _IndependentListRules(_Rules):
@@ -486,8 +514,6 @@ class _IndependentListRules(_Rules):
         """
         m = len(callers)
         values = np.empty(m, dtype=np.int32)
-        if m == 0:
-            return values
         self._widen(int(idx.max()) + 1)
         stream = np.empty(0, dtype=np.int32)  # drawn, not yet handed to a caller
         pos = 0
@@ -512,23 +538,28 @@ class _IndependentListRules(_Rules):
         return values
 
     def draw(self, stack, calls):
-        callers = calls.callers
-        idx = self.list_index[callers]
-        targets = np.empty(len(callers), dtype=np.int32)
-        for world, a, b in zip(calls.worlds, calls.bounds, calls.bounds[1:]):
-            targets[a:b] = self._draw_fresh(world.rng, callers[a:b], idx[a:b])
-        return targets, np.full(len(callers), _K_SEQUENTIAL, dtype=np.int8)
+        targets = np.empty(len(calls.callers), dtype=np.int32)
+        for s, e, c in calls.blocks():
+            c = c.astype(np.intp)
+            idx = self.list_index.take(c)
+            worlds, cuts = calls.split(s, e)
+            for world, a, b in zip(worlds, cuts, cuts[1:]):
+                targets[s + a : s + b] = self._draw_fresh(world.rng, c[a:b], idx[a:b])
+        return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
 
     def settle(self, stack, calls, targets, outcomes):
-        self.list_index[calls.callers] += 1
+        for s, e, c in calls.blocks():
+            self.list_index[c.astype(np.intp)] += 1
 
 
 class _PushRules(_Rules):
     """Classical push: every call goes to a fresh uniformly random target."""
 
     def draw(self, stack, calls):
-        kinds = np.full(len(calls.callers), _K_RANDOM, dtype=np.int8)
-        return _random_targets(stack, calls), kinds
+        targets = np.empty(len(calls.callers), dtype=np.int32)
+        for s, e, c in calls.blocks():
+            targets[s:e] = _random_targets(stack, calls, s, e)
+        return targets, np.full(len(targets), _K_RANDOM, dtype=np.int8)
 
 
 # Each protocol's rules, by name.
@@ -557,7 +588,7 @@ class _Stack:
         self.count = count
         self._rules = _RULES[protocol_name(spec)](spec, n, count * n)
         # Entry of each world's first node, and one past the last world's.
-        self._edges = np.arange(count + 1, dtype=np.int64) * n
+        self._edges = np.arange(count + 1, dtype=np.int32) * n
         size = count * n
         self._status = np.zeros(size, dtype=np.int8)
         # The round kernel's first-writer scratch; all sentinel between rounds.
@@ -692,38 +723,63 @@ def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
     return np.add.reduceat(mask, bounds[:-1], dtype=np.int64).tolist()
 
 
-def _resolve(stack: _Stack, entries: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """The int8 outcome codes of the round's calls, given their target
-    entries in caller order and their serialization ``order``; marks the
-    targets they inform.
+def _informed(status: np.ndarray) -> np.ndarray:
+    """The informed entries, ascending, as int32, found block by block."""
+    blocks = [status[a : a + _BLOCK_CALLS] for a in range(0, len(status), _BLOCK_CALLS)]
+    ends = list(itertools.accumulate((np.count_nonzero(b == _INFORMED) for b in blocks), initial=0))
+    entries = np.empty(ends[-1], dtype=np.int32)
+    for i, (block, a, b) in enumerate(zip(blocks, ends, ends[1:])):
+        entries[a:b] = np.flatnonzero(block == _INFORMED)
+        entries[a:b] += i * _BLOCK_CALLS
+    return entries
+
+
+def _inform_first(stack: _Stack, outcomes: np.ndarray, at: np.ndarray, entries: np.ndarray) -> None:
+    """Code the calls ``at``, in serial order, to target ``entries``: the
+    first at each target still uninformed informs it (a scatter-min into
+    the first-writer scratch, reset at once), the others find it informed."""
+    status, first = stack._status, stack._first_serial
+    # As int32, the scratch's dtype: ``np.minimum.at`` is fast only then.
+    positions = np.arange(len(at), dtype=np.int32)
+    fresh = status.take(entries) == _UNINFORMED
+    entries = entries.astype(np.intp)
+    np.minimum.at(first, entries, positions)
+    won = (first.take(entries) == positions) & fresh
+    first[entries] = _NO_SERIAL
+    # ``_O_INFORMED`` is 0 and ``_O_ALREADY`` 1.
+    outcomes[at] = np.subtract(_O_ALREADY, won, dtype=np.int8)
+    status[entries.compress(won)] = _INFORMED
+
+
+def _resolve(stack: _Stack, calls: _Calls, targets: np.ndarray, order) -> np.ndarray:
+    """The int8 outcome codes of the round's calls, given their target ids
+    in caller order and their serialization ``order``; marks the targets
+    they inform.
 
     Targets crashed before the round stay crashed; among calls to targets
     uninformed at round start, the first at each target in serial order
-    informs it, later ones find it already informed.  With ``order`` None
-    the calls are taken in caller order, each caller's position standing
-    in for its serial position: the same targets are informed and the same
-    number of calls inform, but a tied target's winner may differ.  The
-    temporaries die on return, before ``settle`` allocates its own.
+    informs it, later ones find it already informed.  A pass in caller
+    order codes each call an encounter, a crashed-target call or open; a
+    pass in serial order, block by block, crowns the open calls, so later
+    blocks find earlier ones' targets informed.  With ``order`` None one
+    pass in caller order does both: the same targets are informed and the
+    same number of calls inform, but a tied target's winner may differ.
     """
-    t_status = stack._status[entries]
-    # Serial positions as int32, the scratch's dtype: ``np.minimum.at``
-    # takes its fast path only when the two match.
+    status, k = stack._status, len(targets)
+    outcomes = np.empty(k, dtype=np.int8)
+    for s in range(0, k, _BLOCK_CALLS):
+        block = slice(s, s + _BLOCK_CALLS)
+        entries = calls.entries(targets[block], block)
+        _STATUS_OUTCOMES.take(status.take(entries), out=outcomes[block])
+        if order is None:
+            opened = np.flatnonzero(outcomes[block] == _O_INFORMED)
+            _inform_first(stack, outcomes, opened + s, entries.take(opened))
     if order is None:
-        open_calls = np.flatnonzero(t_status == _UNINFORMED)
-        open_serial = open_calls.astype(np.int32)
-    else:
-        open_serial = np.flatnonzero((t_status == _UNINFORMED)[order]).astype(np.int32)
-        open_calls = order[open_serial]
-    open_targets = entries[open_calls]
-    first = stack._first_serial
-    np.minimum.at(first, open_targets, open_serial)
-    winners = open_calls[first[open_targets] == open_serial]
-    first[open_targets] = _NO_SERIAL
-    # Every call is an encounter, or a crashed-target call where its target
-    # had crashed (``_O_CRASHED`` is ``_O_ALREADY + 1``), unless it informs.
-    outcomes = np.add(t_status == _CRASHED, _O_ALREADY, dtype=np.int8)
-    outcomes[winners] = _O_INFORMED
-    stack._status[entries[winners]] = _INFORMED
+        return outcomes
+    for s in range(0, k, _BLOCK_CALLS):
+        at = order[s : s + _BLOCK_CALLS]
+        at = at.compress(outcomes.take(at) == _O_INFORMED).astype(np.intp)
+        _inform_first(stack, outcomes, at, calls.entries(targets.take(at), at))
     return outcomes
 
 
@@ -736,27 +792,25 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     permutation serializes the world's calls, the first call in serial
     order to reach each uninformed target informs it, and the protocol's
     rules settle the callers' state.  Each world draws from its own
-    generator; the rest runs once over all the worlds' calls in caller
-    order.  The permutations are read only to find those first calls (a
-    scatter-min of serial positions into a per-stack scratch that holds a
-    sentinel between rounds) and to write kept logs in serial order.  So
-    they are laid out only when the rules read the outcomes or a world
-    keeps a log; otherwise each world's generator takes the permutation's
-    draws on the stack's zero-stride view, and the first calls in caller
-    order inform: the informed set, the round's counts and the rules' state
-    come out the same.
+    generator; the rest runs once over all the worlds' calls, block by
+    block.  The permutations are read only to find those first calls and
+    to write kept logs in serial order, so they are laid out only when the
+    rules read the outcomes or a world keeps a log; otherwise each world's
+    generator takes the permutation's draws on the stack's zero-stride
+    view, and the first calls in caller order inform: the informed set,
+    the round's counts and the rules' state come out the same.
     ``tests/reference_engine.py`` applies the same calls one by one; the
     test suite asserts that both produce the same records, state, and RNG
     consumption.
     """
-    stack = worlds[0]._stack
+    stack, rules = worlds[0]._stack, worlds[0]._rules
     executed_round = worlds[0].round + 1
     for world in worlds:
         world._apply_crashes(executed_round)
     # Eligible callers were informed in an earlier round and are neither
     # stopped nor crashed; no call of this round has been applied yet, so
     # they are exactly the informed set.
-    callers = np.flatnonzero(stack._status == _INFORMED)
+    callers = _informed(stack._status)
     edges = callers.searchsorted(stack._edges).tolist()
 
     stalled, calling, segments = [], [], []
@@ -777,25 +831,29 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         callers = np.concatenate([callers[a:b] for a, b in segments])
     bounds = list(itertools.accumulate((b - a for a, b in segments), initial=0))
     calls = _Calls(stack, calling, bounds, callers)
-    targets, kinds = stack._rules.draw(stack, calls)
+    targets, kinds = rules.draw(stack, calls)
     # ``permutation(k)`` is ``shuffle(arange(k))``: shuffling each world's
     # slice of one ``arange`` draws its permutation, offset to its calls.
     # Where nothing reads the order, the zero-stride view takes its draws.
-    laid_out = stack._rules.reads_outcomes or any(world.log is not None for world in calling)
-    order = np.arange(len(callers)) if laid_out else None
+    logged = [world.log is not None for world in calling]
+    laid_out = rules.reads_outcomes or any(logged)
+    # ``shuffle`` is fastest on 8-byte items; beyond a block, the order it
+    # keeps until ``settle`` is int32.
+    dtype = np.int64 if len(callers) <= _BLOCK_CALLS else np.int32
+    order = np.arange(len(callers), dtype=dtype) if laid_out else None
     for world, a, b in zip(calling, bounds, bounds[1:]):
         world.rng.shuffle(order[a:b] if laid_out else stack._unread_order[: b - a])
-
-    outcomes = _resolve(stack, calls.entries(targets), order)
-    for world, a, b in zip(calling, bounds, bounds[1:]):
-        if world.log is not None:
-            serial = order[a:b]
-            world.log.append_round(executed_round, calls.caller_ids(serial).astype(np.int32),
-                                   targets[serial], kinds[serial], outcomes[serial])
+    outcomes = _resolve(stack, calls, targets, order)
+    if any(logged):
+        columns = calls.caller_ids(), targets, kinds, outcomes
+        for world, keeps, a, b in zip(calling, logged, bounds, bounds[1:]):
+            if keeps:
+                world.log.append_round(executed_round, *(x.take(order[a:b]) for x in columns))
+        del columns
     # Settle with the serialization freed: together they would set the
     # round's peak memory.
     del order
-    stack._rules.settle(stack, calls, targets, outcomes)
+    rules.settle(stack, calls, targets, outcomes)
 
     informs = _per_world_counts(outcomes == _O_INFORMED, bounds)
     crashes = _per_world_counts(outcomes == _O_CRASHED, bounds)

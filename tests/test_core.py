@@ -701,9 +701,9 @@ def test_run_without_a_log_equals_the_run_with_one(spec, timing, monkeypatch):
     # many rounds hold calls to one target from several callers.
     orders = []
 
-    def spy(stack, entries, order):
+    def spy(stack, calls, targets, order):
         orders.append(order is None)
-        return _resolve(stack, entries, order)
+        return _resolve(stack, calls, targets, order)
 
     monkeypatch.setattr("rumorsim.core._resolve", spy)
     for n, allow_self_calls, count in itertools.product((64, 256, 1024), (True, False), (1, 4)):
@@ -727,6 +727,52 @@ def test_run_without_a_log_equals_the_run_with_one(spec, timing, monkeypatch):
         for a, b in zip(bare, logged):
             assert_same_world_state(a, b)
             assert a.rng.bit_generator.state == b.rng.bit_generator.state, where
+
+
+BLOCK_CRASHES = [None, CrashModel(0.25, "at_start"), CrashModel(0.25, "uniform_round", max_round=8)]
+
+
+def run_block_configs(spec):
+    """Runs of ``spec`` over every crash timing, self-calls on and off, a
+    world alone and a stack of four, and a log kept or not: per run, its
+    summaries and worlds."""
+    n, runs = 40, []
+    for crash, allow_self_calls, count, keep_log in itertools.product(
+        BLOCK_CRASHES, (True, False), (1, 4), (False, True)
+    ):
+        seeds = [7 * n + count + w for w in range(count)]
+        schedules = [None if crash is None
+                     else generate_crash_schedule(n, crash, np.random.default_rng(seed), 3)
+                     for seed in seeds]
+        worlds = init_stack(spec, n, 3, seeds, schedules,
+                            allow_self_calls=allow_self_calls, keep_log=keep_log)
+        summaries = run_stack(worlds) if count > 1 else [run(worlds[0])]
+        runs.append((summaries, worlds))
+    return runs
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_results_do_not_depend_on_the_block_size(spec, monkeypatch):
+    # Blocks of 1, 2 and 7 calls cut rounds inside worlds and at their
+    # edges, and split ties among calls to one target across blocks; every
+    # summary, per-round record, world state, log and generator state stays
+    # as at the default block size.
+    expected = run_block_configs(spec)
+    for block in (1, 2, 7):
+        monkeypatch.setattr("rumorsim.core._BLOCK_CALLS", block)
+        for (summaries, worlds), (want, wanted) in zip(run_block_configs(spec), expected):
+            assert summaries == want, block
+            for world, other in zip(worlds, wanted):
+                assert world.round_counts == other.round_counts, block
+                assert_same_world_state(world, other)
+                assert world.log == other.log, block
+                assert world.rng.bit_generator.state == other.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_kernel_matches_reference_engine_in_three_call_blocks(spec, monkeypatch):
+    monkeypatch.setattr("rumorsim.core._BLOCK_CALLS", 3)
+    test_vectorized_round_matches_reference_engine(spec)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 2**16 - 1, 2**16 + 1, 2**20 + 7])
@@ -842,6 +888,24 @@ def test_budget_beyond_int32_never_stops_a_caller():
     state = build_trial_state(huge, 0)
     assert run(state) == run(build_trial_state(config, 0))
     assert not (state._stack._status == _STOPPED).any()
+
+
+@pytest.mark.parametrize("budget, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+def test_encounter_counts_hold_every_count_up_to_the_budget(budget, dtype):
+    # A count starts at -1 (the start) or 0 and stops its node once it
+    # reaches the budget, so int16 holds every count below a budget of
+    # 2**15.  Every node but the start begins two encounters short of the
+    # budget, so counts reach it; kernel and reference must agree.
+    for seed in range(4):
+        states = [init_simulation(Hybrid(budget), 64, seed=seed, keep_log=True) for _ in range(2)]
+        for state in states:
+            assert state._rules.encounters.dtype == dtype
+            state._rules.encounters[1:] = budget - 2
+        assert run(states[0]) == run(states[1], round_engine=execute_round_reference)
+        assert list(states[0].log) == reference_log(states[1])
+        assert_same_world_state(*states)
+        assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+        assert rules_array(states[0], "encounters").max() == budget
 
 
 def test_oversized_stack_is_refused_before_allocating(monkeypatch):
@@ -975,12 +1039,12 @@ def test_round_allocates_no_per_node_array():
 
 
 @pytest.mark.parametrize("spec, bound", [
-    (Hybrid(4), 14), (FullyRandomPush(), 6), (Quasirandom("identical"), 10),
+    (Hybrid(4), 12), (FullyRandomPush(), 6), (Quasirandom("identical"), 10),
 ], ids=str)
 def test_world_state_bytes_per_node(spec, bound):
     # int8 status and int32 first-writer scratch: 5 bytes per node; the
-    # rules add an int32 next target (hybrid and identical lists) and
-    # encounter count (hybrid), and nothing for push.
+    # rules add an int32 next target (hybrid and identical lists) and an
+    # int16 encounter count (hybrid), and nothing for push.
     n = 2**20
     # The first generator of a process imports about 0.7 MB of numpy
     # modules; that is not the world's state.
@@ -995,20 +1059,20 @@ def test_world_state_bytes_per_node(spec, bound):
     assert peak / n <= bound
 
 
-@pytest.mark.parametrize("spec, bound", [
-    (Hybrid(4), 45), (FullyRandomPush(), 23.5), (Quasirandom("identical"), 30.5),
-    (Quasirandom("independent"), 200),
+@pytest.mark.parametrize("spec, bound, n", [
+    (Hybrid(4), 28, 2**18), (FullyRandomPush(), 17.5, 2**18),
+    (Quasirandom("identical"), 22.5, 2**18), (Quasirandom("independent"), 189, 2**18),
+    (Hybrid(4), 26.5, 2**20),
 ], ids=str)
-def test_run_peak_bytes_per_node(spec, bound):
+def test_run_peak_bytes_per_node(spec, bound, n):
     # The traced peak of a whole run, its state included, measured at
-    # 41.6 / 21.4 / 28.0 / 182.6 bytes per node; each bound leaves under
-    # 10% headroom.  The peak round holds the int64 callers, the int32
-    # targets and the outcome codes while ``settle`` allocates (hybrid,
-    # identical lists), or the first-writer temporaries while they are
-    # resolved (push).  Without a log only hybrid lays out a serialization,
-    # freed before ``settle``; independent lists add their int32 table of
-    # drawn prefixes.
-    n = 2**18
+    # 25.4 / 16.3 / 20.5 / 172.6 bytes per node at 2^18 and 24.5 for
+    # hybrid at 2^20; each bound leaves under 10% headroom.  A round holds
+    # its int32 callers and targets and int8 kind and outcome codes, and
+    # hybrid's int32 serialization order until ``settle``; every other
+    # temporary is the size of a block of calls, a larger share of the
+    # round at 2^18.  Independent lists add their int32 table of drawn
+    # prefixes.
     init_simulation(spec, 1, seed=0)
     tracemalloc.start()
     try:

@@ -33,6 +33,15 @@ from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.traceio import write_summary_json, write_trace_csv
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
+from test_core import ALL_SPECS
+from test_pool import (  # noqa: F401  (deadline, pools and small_stacks are fixtures)
+    _assert_same_batches,
+    _serial_and_pooled,
+    deadline,
+    pools,
+    small_stacks,
+)
+
 BASE = ExperimentConfig(spec=Hybrid(2), n=128, trials=30, master_seed=42)
 
 
@@ -285,6 +294,25 @@ def test_no_self_call_batch_bytes_frozen(spec, stack_nodes, monkeypatch, tmp_pat
         write_trace_csv(trace, str(trace_path))
         digest.update(summary_path.read_bytes() + trace_path.read_bytes())
     assert digest.hexdigest() == FROZEN_NO_SELF_CALL_BATCHES[spec]
+
+
+def test_pooled_batch_in_two_call_blocks_equals_serial(monkeypatch, small_stacks, pools,
+                                                      deadline):
+    # Workers forked with two-call blocks run every stack's rounds in
+    # blocks cut inside worlds and at their edges, as the serial path does,
+    # and both equal the batch at the default block size.
+    configs = [
+        ExperimentConfig(spec=spec, n=24, trials=6, master_seed=97, retention="trace", start=5,
+                         crash=CrashModel(0.2, "uniform_round"), allow_self_calls=self_calls)
+        for spec in ALL_SPECS
+        for self_calls in (True, False)
+    ]
+    default = experiments._run_batches(configs)
+    monkeypatch.setattr("rumorsim.core._BLOCK_CALLS", 2)
+    serial, pooled = _serial_and_pooled(monkeypatch, 2, lambda: experiments._run_batches(configs))
+    assert pools == [2]
+    _assert_same_batches(default, serial)
+    _assert_same_batches(serial, pooled)
 
 
 # ------------------------------------------------------------------- compare
