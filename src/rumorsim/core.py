@@ -31,8 +31,9 @@ stack; ``run_trials`` runs its trials in larger ones.
 
 Each protocol's rules live in one private rules class, found in ``_RULES``
 by the spec's ``name``: the per-node arrays it reads, the start node's
-round-0 setup, the round's target draws, and the callers' state update
-from the round's outcome codes, the ones a kept log records.
+round-0 setup, the round's target draws, a kept log's kind codes, and the
+callers' state update from the round's outcome codes, the ones a kept log
+records.
 ``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
 one world and by ``run_stack`` for a stack.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
@@ -64,10 +65,11 @@ at most ``MAX_STACK_NODES`` (2**31 - 1) nodes and refuses more.  So every
 per-node array is int32 or narrower (the status is int8, and hybrid's
 encounter counts int16 below a budget of 2**15), and so is every array of
 one entry per call that lasts a round: the callers, target ids and a
-laid-out order are int32, the kind and outcome codes int8.  (A round of
-one block shuffles an int64 order: ``shuffle`` is fastest on 8-byte
-items.)  Other temporaries are the size of a block.  A kept log's columns
-are int32 too.
+laid-out order are int32, the outcome codes int8, and the kind codes, built
+only for a kept log, int8.  (A round of one block shuffles an int64 order:
+``shuffle`` is fastest on 8-byte items.)  Other temporaries, the round's
+counts of informing and crashed-target calls among them, are the size of
+a block.  A kept log's columns are int32 too.
 """
 
 from __future__ import annotations
@@ -364,6 +366,7 @@ class _Rules:
     # Whether ``settle`` reads which of several calls to one target informed
     # it; only then does a round without a kept log lay out its serial order.
     reads_outcomes = False
+    KIND = _K_SEQUENTIAL
 
     def __init__(self, spec: ProtocolSpec, n: int, entries: int):
         """Rules of ``spec`` for a stack of ``entries`` nodes in worlds of ``n``."""
@@ -371,11 +374,17 @@ class _Rules:
     def setup(self, state: SimulationState) -> None:
         """Round-0 state of one world's start node."""
 
-    def draw(self, stack: _Stack, calls: _Calls):
-        """(int32 target ids, int8 kinds) of the round's calls; every random
-        draw of the round before the serialization permutation happens
-        here, block by block, each world's in its callers' order."""
+    def draw(self, stack: _Stack, calls: _Calls) -> np.ndarray:
+        """The int32 target ids of the round's calls; every random draw of
+        the round before the serialization permutation happens here, block
+        by block, each world's in its callers' order."""
         raise NotImplementedError
+
+    def kinds(self, calls: _Calls) -> np.ndarray:
+        """The int8 kind codes of the round's calls, read between ``draw``
+        and ``settle``, only for a kept log; each call's is ``KIND`` unless
+        the rules say otherwise."""
+        return np.full(len(calls.callers), self.KIND, dtype=np.int8)
 
     def settle(self, stack, calls, targets, outcomes) -> None:
         """Update the callers' protocol state after the round's outcomes.
@@ -410,19 +419,22 @@ class _HybridRules(_Rules):
 
     def draw(self, stack, calls):
         targets = np.empty(len(calls.callers), dtype=np.int32)
-        kinds = np.empty(len(targets), dtype=np.int8)
         for s, e, c in calls.blocks():
             block = self.next_target.take(c, out=targets[s:e])
-            pending = block < 0
-            # Random if pending (``_K_RANDOM`` is ``_K_SEQUENTIAL + 1``).
-            np.add(pending, _K_SEQUENTIAL, out=kinds[s:e], dtype=np.int8)
-            pending = np.flatnonzero(pending)
+            pending = np.flatnonzero(block < 0)
             block[pending] = _random_targets(stack, calls, s, e, pending)
+        return targets
+
+    def kinds(self, calls):
+        kinds = np.empty(len(calls.callers), dtype=np.int8)
+        for s, e, c in calls.blocks():
+            # Random if pending (``_K_RANDOM`` is ``_K_SEQUENTIAL + 1``).
+            np.add(self.next_target.take(c) < 0, _K_SEQUENTIAL, out=kinds[s:e], dtype=np.int8)
         # Only a start can be in debt, and an indebted start is informed and
         # not stopped, so a caller; callers arrive sorted.
         walking = calls.starts[self.encounters[calls.starts] < 0]
         kinds[np.searchsorted(calls.callers, walking)] = _K_INITIAL
-        return targets, kinds
+        return kinds
 
     def settle(self, stack, calls, targets, outcomes):
         for s, e, c in calls.blocks():
@@ -462,7 +474,7 @@ class _SharedListRules(_Rules):
             undrawn = np.flatnonzero(block < 0)
             if len(undrawn):
                 block[undrawn] = _draw_integers(calls, stack.n, s, e, undrawn)
-        return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
+        return targets
 
     def settle(self, stack, calls, targets, outcomes):
         for s, e, c in calls.blocks():
@@ -545,7 +557,7 @@ class _IndependentListRules(_Rules):
             worlds, cuts = calls.split(s, e)
             for world, a, b in zip(worlds, cuts, cuts[1:]):
                 targets[s + a : s + b] = self._draw_fresh(world.rng, c[a:b], idx[a:b])
-        return targets, np.full(len(targets), _K_SEQUENTIAL, dtype=np.int8)
+        return targets
 
     def settle(self, stack, calls, targets, outcomes):
         for s, e, c in calls.blocks():
@@ -555,11 +567,13 @@ class _IndependentListRules(_Rules):
 class _PushRules(_Rules):
     """Classical push: every call goes to a fresh uniformly random target."""
 
+    KIND = _K_RANDOM
+
     def draw(self, stack, calls):
         targets = np.empty(len(calls.callers), dtype=np.int32)
         for s, e, c in calls.blocks():
             targets[s:e] = _random_targets(stack, calls, s, e)
-        return targets, np.full(len(targets), _K_RANDOM, dtype=np.int8)
+        return targets
 
 
 # Each protocol's rules, by name.
@@ -717,10 +731,25 @@ def _empty_round(state: SimulationState) -> bool:
     return state._live_uninformed > 0
 
 
-def _per_world_counts(mask: np.ndarray, bounds: list[int]) -> list[int]:
-    if len(bounds) == 2:
-        return [int(np.count_nonzero(mask))]
-    return np.add.reduceat(mask, bounds[:-1], dtype=np.int64).tolist()
+def _per_world_counts(outcomes: np.ndarray, bounds: list[int]):
+    """Each world's informing and crashed-target calls, world ``j``'s calls
+    being ``outcomes[bounds[j]:bounds[j + 1]]``, counted block by block."""
+    counts = np.zeros((2, len(bounds) - 1), dtype=np.int64)
+    for s in range(0, bounds[-1], _BLOCK_CALLS):
+        block = outcomes[s : s + _BLOCK_CALLS]
+        # The calling worlds that have calls in the block, and where in it
+        # each one's calls begin.
+        a = bisect.bisect_right(bounds, s) - 1
+        b = bisect.bisect_left(bounds, s + len(block))
+        cuts = np.maximum(np.array(bounds[a:b]) - s, 0)
+        for row, code in enumerate((_O_INFORMED, _O_CRASHED)):
+            hits = block == code
+            # ``reduceat`` costs about five times ``count_nonzero``.
+            if b - a == 1:
+                counts[row, a] += np.count_nonzero(hits)
+            else:
+                counts[row, a:b] += np.add.reduceat(hits, cuts, dtype=np.int64)
+    return counts.tolist()
 
 
 def _informed(status: np.ndarray) -> np.ndarray:
@@ -831,7 +860,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         callers = np.concatenate([callers[a:b] for a, b in segments])
     bounds = list(itertools.accumulate((b - a for a, b in segments), initial=0))
     calls = _Calls(stack, calling, bounds, callers)
-    targets, kinds = rules.draw(stack, calls)
+    targets = rules.draw(stack, calls)
     # ``permutation(k)`` is ``shuffle(arange(k))``: shuffling each world's
     # slice of one ``arange`` draws its permutation, offset to its calls.
     # Where nothing reads the order, the zero-stride view takes its draws.
@@ -845,7 +874,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         world.rng.shuffle(order[a:b] if laid_out else stack._unread_order[: b - a])
     outcomes = _resolve(stack, calls, targets, order)
     if any(logged):
-        columns = calls.caller_ids(), targets, kinds, outcomes
+        columns = calls.caller_ids(), targets, rules.kinds(calls), outcomes
         for world, keeps, a, b in zip(calling, logged, bounds, bounds[1:]):
             if keeps:
                 world.log.append_round(executed_round, *(x.take(order[a:b]) for x in columns))
@@ -855,8 +884,7 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     del order
     rules.settle(stack, calls, targets, outcomes)
 
-    informs = _per_world_counts(outcomes == _O_INFORMED, bounds)
-    crashes = _per_world_counts(outcomes == _O_CRASHED, bounds)
+    informs, crashes = _per_world_counts(outcomes, bounds)
     for world, a, b, informed, crashed in zip(calling, bounds, bounds[1:], informs, crashes):
         world._finish_round(b - a, informed, crashed)
     return stalled

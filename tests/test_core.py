@@ -1060,19 +1060,21 @@ def test_world_state_bytes_per_node(spec, bound):
 
 
 @pytest.mark.parametrize("spec, bound, n", [
-    (Hybrid(4), 28, 2**18), (FullyRandomPush(), 17.5, 2**18),
-    (Quasirandom("identical"), 22.5, 2**18), (Quasirandom("independent"), 189, 2**18),
-    (Hybrid(4), 26.5, 2**20),
+    (Hybrid(4), 26.5, 2**18), (FullyRandomPush(), 16.5, 2**18),
+    (Quasirandom("identical"), 21, 2**18), (Quasirandom("independent"), 189, 2**18),
+    (Hybrid(4), 25.5, 2**20), (FullyRandomPush(), 14.5, 2**20),
+    (Quasirandom("identical"), 18.5, 2**20),
 ], ids=str)
 def test_run_peak_bytes_per_node(spec, bound, n):
     # The traced peak of a whole run, its state included, measured at
-    # 25.4 / 16.3 / 20.5 / 172.6 bytes per node at 2^18 and 24.5 for
-    # hybrid at 2^20; each bound leaves under 10% headroom.  A round holds
-    # its int32 callers and targets and int8 kind and outcome codes, and
-    # hybrid's int32 serialization order until ``settle``; every other
-    # temporary is the size of a block of calls, a larger share of the
-    # round at 2^18.  Independent lists add their int32 table of drawn
-    # prefixes.
+    # 24.5 / 15.3 / 19.5 / 172.6 bytes per node at 2^18 and 23.5 / 14.3 /
+    # 18.4 at 2^20; each bound leaves under 10% headroom.  A round holds its
+    # int32 callers and targets and int8 outcome codes, and hybrid's int32
+    # serialization order until ``settle``; kind codes are built only for
+    # a kept log, and the round's informs and crashed-target calls are
+    # counted a block at a time.  Every other temporary is the size of a
+    # block of calls, a larger share of the round at 2^18.  Independent
+    # lists add their int32 table of drawn prefixes.
     init_simulation(spec, 1, seed=0)
     tracemalloc.start()
     try:

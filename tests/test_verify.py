@@ -4,10 +4,13 @@ import dataclasses
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import reference_verify
 from rumorsim.core import (
     CallKind,
+    CallLog,
     CallOutcome,
     CallRecord,
     init_simulation,
@@ -16,7 +19,11 @@ from rumorsim.core import (
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
 from rumorsim.verify import verify_summary_against_trace, verify_trace
 
-from test_verify_oracle import assert_same_report_on_int32_and_int64_columns
+from test_verify_oracle import (
+    assert_same_report_in_any_block_size,
+    assert_same_report_on_int32_and_int64_columns,
+    reports_in_blocks,
+)
 
 INITIAL = CallKind.INITIAL_SUCCESSOR
 SEQ = CallKind.SEQUENTIAL
@@ -24,6 +31,7 @@ RANDOM = CallKind.RANDOM
 INFORMED = CallOutcome.INFORMED
 ALREADY = CallOutcome.ALREADY_INFORMED
 CRASHED = CallOutcome.CRASHED_TARGET
+CRASHED_CODE = list(CallOutcome).index(CRASHED)
 
 
 def logged_run(spec=Hybrid(2), n=48, seed=3, schedule=None):
@@ -300,25 +308,31 @@ def test_huge_node_ids_cost_memory_for_the_trace_only():
 
 
 # The traced peak of ``verify_trace`` above the trace's int32 columns, in
-# bytes per call, by protocol.  The replay reads the columns in place, holds
-# ids and trace positions in int32 and groups the calls by one in-place sort
-# of an int64 key; the rules run once the replay's arrays are released, on
-# int32 ids and counts and int8 codes.  Measured at n=2^13: hybrid 31.2,
-# identical lists 29.3, independent lists 37.9, push 24.6; hybrid at 2^17,
-# 29.4.  Each pin is under 10% above.
+# bytes per call, by protocol.  The verifier reads the trace a block of
+# calls at a time and carries per-node state across blocks: int32
+# positions, rounds and ids, a few per node, and what the rules read of a
+# caller's last call.  Its other temporaries, a block's intp ids among
+# them, are the size of a block, a large share of a trace at n=2^13, so
+# the pins there are mostly block; only independent lists keep their first
+# lap's (caller, target) pairs for one sort at the end.  Measured at
+# n=2^13: hybrid 25.1, identical lists 10.2, independent lists 29.4, push
+# 10.9; hybrid at 2^17, 7.7.  Each pin is under 10% above.
 VERIFY_BYTES_PER_CALL = {
-    "hybrid": 34,
-    "quasirandom-identical": 32,
-    "quasirandom-independent": 41,
-    "push": 27,
+    "hybrid": 27,
+    "quasirandom-identical": 11,
+    "quasirandom-independent": 32,
+    "push": 11.9,
 }
+VERIFY_BYTES_PER_CALL_AT_2_17 = 8.4
 
 
-def assert_verify_bytes_per_call(spec, n):
+def assert_verify_bytes_per_call(spec, n, bound, broken=False):
     state = init_simulation(spec, n, 0, seed=1, keep_log=True)
     run(state)
     log = state.log
-    log.columns  # joins the per-round chunks outside the measurement
+    columns = log.columns  # joins the per-round chunks outside the measurement
+    if broken:
+        log = CallLog(columns._replace(outcome=np.full_like(columns.outcome, CRASHED_CODE)))
     assert len(log) > 4 * n
     tracemalloc.start()
     try:
@@ -326,18 +340,30 @@ def assert_verify_bytes_per_call(spec, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.ok
-    assert peak < VERIFY_BYTES_PER_CALL[spec.name] * len(log)
+    assert report.ok != broken
+    assert peak < bound * len(log)
+    return log, report
 
 
 @pytest.mark.parametrize("spec", [Hybrid(4), Quasirandom("identical"),
                                   Quasirandom("independent"), FullyRandomPush()])
 def test_verify_holds_a_fixed_number_of_bytes_per_call(spec):
-    assert_verify_bytes_per_call(spec, 2**13)
+    assert_verify_bytes_per_call(spec, 2**13, VERIFY_BYTES_PER_CALL[spec.name])
 
 
 def test_verify_holds_as_few_bytes_per_call_on_a_benchmark_sized_trace():
-    assert_verify_bytes_per_call(Hybrid(4), 2**17)
+    assert_verify_bytes_per_call(Hybrid(4), 2**17, VERIFY_BYTES_PER_CALL_AT_2_17)
+
+
+def test_trace_broken_at_every_call_verifies_within_the_pin():
+    # Every outcome crashed-target under no_crashes: each batch of messages
+    # formats only its first ``max_violations`` by key, and the verifier
+    # stops once the first messages are known.
+    log, report = assert_verify_bytes_per_call(
+        Hybrid(4), 2**13, VERIFY_BYTES_PER_CALL["hybrid"], broken=True)
+    expected = reference_verify.verify_trace(list(log), spec=Hybrid(4), no_crashes=True)
+    assert report.violations == expected.violations
+    assert len(report.violations) == 50
 
 
 # Each forged trace breaks one rule, and its case asserts that rule's own
@@ -475,6 +501,43 @@ def test_forged_trace_trips_its_own_rule(case):
     report = verify_trace(records, **options)
     assert any(message in v for v in report.violations), report.violations
     assert_same_report_on_int32_and_int64_columns(records, options)
+    assert_same_report_in_any_block_size(records, options)
+
+
+# Caller 1's two calls are positions 2 and 4, in different blocks of one,
+# two or three calls; its walk breaks at the second.
+WALK_ACROSS_BLOCKS = [
+    CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+    CallRecord(2, 0, 2, INITIAL, INFORMED, 0),
+    CallRecord(2, 1, 5, RANDOM, INFORMED, 1),
+    CallRecord(3, 0, 3, INITIAL, INFORMED, 0),
+    CallRecord(3, 1, 7, SEQ, INFORMED, 1),
+    CallRecord(3, 2, 4, RANDOM, INFORMED, 2),
+]
+# Caller 1 calls twice in round 2, inside one block of seven calls; its
+# second call must be sequential and walk on from 5.
+TWICE_IN_ONE_BLOCK = [
+    CallRecord(1, 0, 1, INITIAL, INFORMED, 0),
+    CallRecord(2, 0, 2, INITIAL, INFORMED, 0),
+    CallRecord(2, 1, 5, RANDOM, INFORMED, 1),
+    CallRecord(2, 1, 7, RANDOM, INFORMED, 2),
+    CallRecord(3, 0, 3, INITIAL, INFORMED, 0),
+]
+
+
+@pytest.mark.parametrize("records, messages", [
+    (WALK_ACROSS_BLOCKS, ["round 3 serial 1: caller 1 walks to 7, expected 6 after 5"]),
+    (TWICE_IN_ONE_BLOCK, [
+        "round 2 serial 2: caller 1 calls twice in one round",
+        "round 2 serial 2: caller 1 places a random call, expected sequential",
+    ]),
+], ids=["walk across blocks", "twice in one block"])
+def test_caller_state_carries_across_and_within_blocks(records, messages):
+    options = dict(n=8, spec=Hybrid(2), start=0, no_crashes=True)
+    reports = reports_in_blocks(records, options)
+    assert reports[1:] == reports[:1] * (len(reports) - 1)
+    for message in messages:
+        assert message in reports[0][3], reports[0][3]
 
 
 # ------------------------------------------------------- summary cross-check

@@ -6,7 +6,8 @@ a duplicate; a swap).  Both verifiers must give the same report, message
 for message, whether or not the edits left the trace in (round, serial)
 order, and the same summary cross-check.  The same runs with their node
 ids spread by a large stride take the verifier's other way of numbering
-nodes.
+nodes.  The verifier reads a trace a block of calls at a time; its report
+must not depend on the block size, down to blocks of one call.
 """
 
 import numpy as np
@@ -17,13 +18,8 @@ from hypothesis import strategies as st
 import reference_verify
 from rumorsim.core import CallKind, CallLog, CallOutcome, CallRecord, init_simulation, run
 from rumorsim.protocols import FullyRandomPush, Hybrid, Quasirandom
-from rumorsim.verify import (
-    _first_calls,
-    _group_order,
-    _node_ids,
-    verify_summary_against_trace,
-    verify_trace,
-)
+from rumorsim import verify
+from rumorsim.verify import verify_summary_against_trace, verify_trace
 
 SPECS = [
     Hybrid(1),
@@ -187,27 +183,78 @@ def test_verifier_reports_alike_on_int32_and_int64_columns(data):
         assert_same_report_on_int32_and_int64_columns(trace, options)
 
 
-def test_node_ids_are_the_nodes_when_dense_and_compacted_when_sparse():
-    nodes, callers, targets = _node_ids(np.array([0, 2, 2]), np.array([1, 3, 0]))
-    assert nodes.tolist() == [0, 1, 2, 3]
-    assert (callers.tolist(), targets.tolist()) == ([0, 2, 2], [1, 3, 0])
-    nodes, callers, targets = _node_ids(np.array([0, 2000, 2000]), np.array([1000, 3000, 0]))
-    assert nodes.tolist() == [0, 1000, 2000, 3000]
-    assert (callers.tolist(), targets.tolist()) == ([0, 2, 2], [1, 3, 0])
+# Blocks of 1, 2, 3 and 7 calls cut every trace of the corpus at each call,
+# between a caller's consecutive calls and inside rounds.
+BLOCK_SIZES = (1, 2, 3, 7)
 
 
-@pytest.mark.parametrize("size, span", [(0, 1), (1, 1), (1000, 7), (5000, 5000), (5000, 20000)])
-def test_grouping_and_first_calls_match_the_sorts_they_replace(size, span):
-    # Random ids: many repeats where the span is below the size, few above.
-    ids = np.random.default_rng(size + span).integers(0, span, size).astype(np.int32)
-    order = _group_order(ids)
-    assert order.dtype == np.int32
-    assert np.array_equal(order, np.argsort(ids, kind="stable"))
-    hit, first = _first_calls(ids, span)
-    expected_hit, expected_first = np.unique(ids, return_index=True)
-    assert np.array_equal(hit, expected_hit) and np.array_equal(first, expected_first)
+def reports_in_blocks(trace, options):
+    """The report, or the error, at the default block size and at each of
+    ``BLOCK_SIZES``."""
+    default = verify._BLOCK_CALLS
+    reports = []
+    try:
+        for block in (default, *BLOCK_SIZES):
+            verify._BLOCK_CALLS = block
+            try:
+                report = verify_trace(trace, **options)
+                reports.append((report.records_checked, report.n, report.start, report.violations))
+            except ValueError as exc:
+                reports.append(str(exc))
+    finally:
+        verify._BLOCK_CALLS = default
+    return reports
 
 
-def test_grouping_takes_the_stable_sort_where_its_key_would_overflow():
-    ids = np.array([2**62, 0, 2**62, 5, 0], dtype=np.int64)
-    assert _group_order(ids).tolist() == [1, 4, 3, 0, 2]
+def assert_same_report_in_any_block_size(trace, options):
+    """The report (or error) at every block size; returns it."""
+    first, *others = reports_in_blocks(trace, options)
+    for block, report in zip(BLOCK_SIZES, others):
+        assert report == first, block
+    return first
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reports_do_not_depend_on_the_block_size(data):
+    # The oracle's corpus: edited runs of every protocol, with dense or
+    # sparse node ids, on int32 or int64 columns.
+    spec, n, start, schedule, _, genuine = data.draw(runs())
+    stride = data.draw(st.sampled_from([1, 3, 2**40]))
+    spread = [r._replace(caller=r.caller * stride, target=r.target * stride) for r in genuine]
+    records = data.draw(edits(spread, n * stride))
+    options = dict(
+        n=data.draw(st.sampled_from([None, n * stride])),
+        spec=data.draw(st.sampled_from([None, spec])),
+        start=data.draw(st.sampled_from([None, start * stride])),
+        crash_schedule=data.draw(
+            st.sampled_from([None, {node * stride: rnd for node, rnd in schedule.items()}])
+        ),
+        no_crashes=data.draw(st.booleans()),
+        max_violations=data.draw(st.sampled_from([0, 3, 1000])),
+    )
+    columns = CallRecord.columns_of(records)
+    if data.draw(st.booleans()):
+        columns = CallRecord._make(column.astype(np.int64) if column.itemsize > 1 else column
+                                   for column in columns)
+    report = assert_same_report_in_any_block_size(CallLog(columns), options)
+    if not isinstance(report, str):
+        expected = reference_verify.verify_trace(records, **options)
+        assert report == (expected.records_checked, expected.n, expected.start,
+                          expected.violations)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_kept_logs_report_alike_in_any_block_size(spec):
+    # Genuine runs, clean or with a crash schedule's crashed-target calls,
+    # checked with and without no_crashes; each report lists every message,
+    # and a kept log reports as its records do.
+    for schedule in ({}, {node: 1 + node % 3 for node in range(2, 40, 3)}):
+        state = init_simulation(spec, 64, 0, seed=5, crash_schedule=schedule, keep_log=True)
+        run(state)
+        for no_crashes in (False, True):
+            options = dict(spec=spec, crash_schedule=schedule, no_crashes=no_crashes,
+                           max_violations=10**6)
+            reports = reports_in_blocks(state.log, options)
+            assert reports[1:] == reports[:1] * len(BLOCK_SIZES)
+            assert reports[0] == reports_in_blocks(list(state.log), options)[0]
