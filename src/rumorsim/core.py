@@ -31,22 +31,22 @@ stack; ``run_trials`` runs its trials in larger ones.
 
 Each protocol's rules live in one private rules class, found in ``_RULES``
 by the spec's ``name``: the per-node arrays it reads, the start node's
-round-0 setup, the round's target draws, a kept log's kind codes, and the
-callers' state update from the round's outcome codes, the ones a kept log
-records.
+round-0 setup, and three steps on one block of a round's calls: the target
+draws, a kept log's kind codes, and the callers' state update from the
+outcome codes a kept log records.
 ``_execute_rounds`` is the one round kernel, run by ``execute_round`` for
-one world and by ``run_stack`` for a stack.  Each world draws from its own
+one world and by ``run_stack`` for a stack; it runs every step over the
+round's blocks of ``_BLOCK_CALLS`` calls.  Each world draws from its own
 generator; everything else is done once over the stack's concatenated
-calls, a block of ``_BLOCK_CALLS`` at a time.  The serialization only
-breaks ties among calls to the same uninformed target, which a pass in
-serial order resolves by a scatter-min of positions in each block, and
-orders a kept log.  Where no rules read a tie's winner and no log is
-kept, caller order stands in for serial order: only which of the tied
-calls is labelled the winner changes.  Entries of different worlds never
-collide, so the worlds cannot interact.
-The test suite keeps a per-call statement of the same semantics
-(``tests/reference_engine.py``) as the oracle the kernel is checked
-against.
+calls, and resolution counts each world's outcomes.  The serialization
+only breaks ties among calls to the same uninformed target, which a pass
+in serial order resolves by a scatter-min of positions in each block, and
+orders a kept log.  Where no rules read a tie's winner and no log is kept,
+caller order stands in for serial order: only which of the tied calls is
+labelled the winner changes.  Entries of different worlds never collide,
+so the worlds cannot interact.  The test suite keeps a per-call statement
+of the same semantics (``tests/reference_engine.py``) as the oracle the
+kernel is checked against.
 
 Every draw is vectorised.  Independent lists keep each node's drawn prefix
 in an int32 node-by-call-index table and extend it by a block draw: one
@@ -67,9 +67,8 @@ encounter counts int16 below a budget of 2**15), and so is every array of
 one entry per call that lasts a round: the callers, target ids and a
 laid-out order are int32, the outcome codes int8, and the kind codes, built
 only for a kept log, int8.  (A round of one block shuffles an int64 order:
-``shuffle`` is fastest on 8-byte items.)  Other temporaries, the round's
-counts of informing and crashed-target calls among them, are the size of
-a block.  A kept log's columns are int32 too.
+``shuffle`` is fastest on 8-byte items.)  Other temporaries are the size
+of a block, or one count per world.  A kept log's columns are int32 too.
 """
 
 from __future__ import annotations
@@ -288,18 +287,16 @@ class _Calls:
     """One round's calls of the calling worlds of a stack, in caller order.
 
     ``callers`` are int32 stack entries, ascending; ``worlds[j]`` placed
-    calls ``bounds[j]`` up to ``bounds[j + 1]``, and ``starts[j]`` is its
-    start's entry.
+    calls ``bounds[j]`` up to ``bounds[j + 1]``.
     """
 
-    __slots__ = ("worlds", "bounds", "callers", "starts", "_offsets")
+    __slots__ = ("worlds", "bounds", "callers", "_offsets")
 
     def __init__(self, stack: _Stack, worlds, bounds: list[int], callers: np.ndarray):
         self.worlds, self.bounds, self.callers = worlds, bounds, callers
-        bases = np.array([world._base for world in worlds], dtype=np.int32)
-        self.starts = bases + stack.start
         # Each call's world's first entry; in a one-world stack, 0.
-        self._offsets = None if stack.count == 1 else np.repeat(bases, np.diff(bounds))
+        self._offsets = None if stack.count == 1 else np.repeat(
+            np.array([world._base for world in worlds], dtype=np.int32), np.diff(bounds))
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """``(s, e, c)`` per block of calls ``s`` to ``e``, ``c`` their int32
@@ -360,7 +357,8 @@ class _Rules:
 
     The round kernel updates status itself and leaves everything
     protocol-specific to these operations and to the per-node arrays (one
-    entry per stack entry) that ``__init__`` allocates.
+    entry per stack entry) that ``__init__`` allocates.  ``draw``, ``kinds``
+    and ``settle`` take one block of a round's calls, ``c`` their callers.
     """
 
     # Whether ``settle`` reads which of several calls to one target informed
@@ -374,41 +372,51 @@ class _Rules:
     def setup(self, state: SimulationState) -> None:
         """Round-0 state of one world's start node."""
 
-    def draw(self, stack: _Stack, calls: _Calls) -> np.ndarray:
-        """The int32 target ids of the round's calls; every random draw of
-        the round before the serialization permutation happens here, block
-        by block, each world's in its callers' order."""
+    def draw(self, stack: _Stack, calls: _Calls, s: int, e: int, c, out) -> None:
+        """Write the int32 target ids of calls ``s`` to ``e`` into ``out``;
+        every random draw of the round before the serialization permutation
+        happens here, each world's in its callers' order."""
         raise NotImplementedError
 
-    def kinds(self, calls: _Calls) -> np.ndarray:
-        """The int8 kind codes of the round's calls, read between ``draw``
-        and ``settle``, only for a kept log; each call's is ``KIND`` unless
-        the rules say otherwise."""
-        return np.full(len(calls.callers), self.KIND, dtype=np.int8)
+    def kinds(self, c, out) -> None:
+        """Write the int8 kind codes of the block's calls into ``out``, read
+        between ``draw`` and ``settle``, only for a kept log; each call's is
+        ``KIND`` unless the rules say otherwise."""
+        out.fill(self.KIND)
 
-    def settle(self, stack, calls, targets, outcomes) -> None:
-        """Update the callers' protocol state after the round's outcomes.
-
-        ``targets`` are the calls' target ids and ``outcomes`` their int8
-        outcome codes, the ones a kept log records, both in caller order as
-        ``draw`` gave them.  Each caller calls once, so no update depends on
-        the serial order.
-        """
+    def settle(self, stack, c, targets, outcomes) -> None:
+        """Update the block's callers: ``targets`` are the calls' target ids
+        and ``outcomes`` their int8 outcome codes, the ones a kept log
+        records.  Each caller calls once, so no update depends on the serial
+        order."""
 
 
-class _HybridRules(_Rules):
-    """Walk the cyclic order; an encounter costs one budget unit and sends
-    the caller to a random restart, or stops it once the budget is spent.
-    ``next_target`` is -1 while a node is pending a random call.  The start
-    walks its own successors first and its first encounter is free: it
-    begins one encounter in debt, with ``encounters`` at -1 until that
-    encounter ends its initial walk."""
-
-    reads_outcomes = True
+class _WalkerRules(_Rules):
+    """Rules whose nodes walk the cyclic order: ``next_target`` is a node's
+    next target, or -1 where its next call takes a fresh draw, ``_fresh``."""
 
     def __init__(self, spec, n, entries):
-        self.stop_budget = spec.stop_budget
         self.next_target = np.full(entries, -1, dtype=np.int32)
+
+    def draw(self, stack, calls, s, e, c, out):
+        self.next_target.take(c, out=out)
+        due = np.flatnonzero(out < 0)
+        out[due] = self._fresh(stack, calls, s, e, due)
+
+
+class _HybridRules(_WalkerRules):
+    """Walk the cyclic order; an encounter costs one budget unit and sends
+    the caller to a random restart, or stops it once the budget is spent.
+    The start walks its own successors first and its first encounter is
+    free: it begins one encounter in debt, with ``encounters`` at -1 until
+    that encounter ends its initial walk."""
+
+    reads_outcomes = True
+    _fresh = staticmethod(_random_targets)
+
+    def __init__(self, spec, n, entries):
+        super().__init__(spec, n, entries)
+        self.stop_budget = spec.stop_budget
         # A count runs from -1 up to the budget at most.
         self.encounters = np.zeros(entries, np.int16 if spec.stop_budget < 2**15 else np.int32)
 
@@ -417,68 +425,43 @@ class _HybridRules(_Rules):
         self.next_target[entry] = (state.start + 1) % state.n
         self.encounters[entry] = -1
 
-    def draw(self, stack, calls):
-        targets = np.empty(len(calls.callers), dtype=np.int32)
-        for s, e, c in calls.blocks():
-            block = self.next_target.take(c, out=targets[s:e])
-            pending = np.flatnonzero(block < 0)
-            block[pending] = _random_targets(stack, calls, s, e, pending)
-        return targets
+    def kinds(self, c, out):
+        # Random if pending (``_K_RANDOM`` is ``_K_SEQUENTIAL + 1``); only a
+        # start can be in debt, so an indebted caller walks its initial run.
+        np.add(self.next_target.take(c) < 0, _K_SEQUENTIAL, out=out, dtype=np.int8)
+        out[self.encounters.take(c) < 0] = _K_INITIAL
 
-    def kinds(self, calls):
-        kinds = np.empty(len(calls.callers), dtype=np.int8)
-        for s, e, c in calls.blocks():
-            # Random if pending (``_K_RANDOM`` is ``_K_SEQUENTIAL + 1``).
-            np.add(self.next_target.take(c) < 0, _K_SEQUENTIAL, out=kinds[s:e], dtype=np.int8)
-        # Only a start can be in debt, and an indebted start is informed and
-        # not stopped, so a caller; callers arrive sorted.
-        walking = calls.starts[self.encounters[calls.starts] < 0]
-        kinds[np.searchsorted(calls.callers, walking)] = _K_INITIAL
-        return kinds
-
-    def settle(self, stack, calls, targets, outcomes):
-        for s, e, c in calls.blocks():
-            c, outcome = c.astype(np.intp), outcomes[s:e]
-            already = outcome == _O_ALREADY
-            # An informing caller, or a walker whose target crashed (no
-            # budget spent), walks on; an encounter, or a pending caller's
-            # crashed target, leaves it pending, as freshly informed nodes are.
-            following = _successors(targets[s:e], stack.n)
-            pending = self.next_target.take(c) < 0
-            restart = already | ((outcome == _O_CRASHED) & pending)
-            np.putmask(following, restart, -1)
-            self.next_target[c] = following
-            ac = c.compress(already)
-            bumped = self.encounters.take(ac) + 1
-            self.encounters[ac] = bumped
-            stack._status[ac.compress(bumped >= self.stop_budget)] = _STOPPED
+    def settle(self, stack, c, targets, outcomes):
+        c = c.astype(np.intp)
+        already = outcomes == _O_ALREADY
+        # An informing caller, or a walker whose target crashed (no budget
+        # spent), walks on; an encounter, or a pending caller's crashed
+        # target, leaves it pending, as freshly informed nodes are.
+        following = _successors(targets, stack.n)
+        pending = self.next_target.take(c) < 0
+        np.putmask(following, already | ((outcomes == _O_CRASHED) & pending), -1)
+        self.next_target[c] = following
+        ac = c.compress(already)
+        bumped = self.encounters.take(ac) + 1
+        self.encounters[ac] = bumped
+        stack._status[ac.compress(bumped >= self.stop_budget)] = _STOPPED
 
 
-class _SharedListRules(_Rules):
+class _SharedListRules(_WalkerRules):
     """Quasirandom with identical lists: walk the shared cyclic order from
-    a uniformly random position, one step per call, never stopping;
-    ``next_target`` is -1 until a node draws its position."""
-
-    def __init__(self, spec, n, entries):
-        self.next_target = np.full(entries, -1, dtype=np.int32)
+    a uniformly random position, one step per call, never stopping; a node
+    informed by a call draws its position at its first call."""
 
     def setup(self, state):
         # The start picks its position on the shared list up front.
         self.next_target[state._base + state.start] = int(state.rng.integers(0, state.n))
 
-    def draw(self, stack, calls):
-        targets = np.empty(len(calls.callers), dtype=np.int32)
-        for s, e, c in calls.blocks():
-            block = self.next_target.take(c, out=targets[s:e])
-            # A node informed by a call picks its position at its first call.
-            undrawn = np.flatnonzero(block < 0)
-            if len(undrawn):
-                block[undrawn] = _draw_integers(calls, stack.n, s, e, undrawn)
-        return targets
+    @staticmethod
+    def _fresh(stack, calls, s, e, due):
+        return _draw_integers(calls, stack.n, s, e, due)
 
-    def settle(self, stack, calls, targets, outcomes):
-        for s, e, c in calls.blocks():
-            self.next_target[c.astype(np.intp)] = _successors(targets[s:e], stack.n)
+    def settle(self, stack, c, targets, outcomes):
+        self.next_target[c.astype(np.intp)] = _successors(targets, stack.n)
 
 
 class _IndependentListRules(_Rules):
@@ -549,19 +532,15 @@ class _IndependentListRules(_Rules):
         self.drawn[callers, idx] = values
         return values
 
-    def draw(self, stack, calls):
-        targets = np.empty(len(calls.callers), dtype=np.int32)
-        for s, e, c in calls.blocks():
-            c = c.astype(np.intp)
-            idx = self.list_index.take(c)
-            worlds, cuts = calls.split(s, e)
-            for world, a, b in zip(worlds, cuts, cuts[1:]):
-                targets[s + a : s + b] = self._draw_fresh(world.rng, c[a:b], idx[a:b])
-        return targets
+    def draw(self, stack, calls, s, e, c, out):
+        c = c.astype(np.intp)
+        idx = self.list_index.take(c)
+        worlds, cuts = calls.split(s, e)
+        for world, a, b in zip(worlds, cuts, cuts[1:]):
+            out[a:b] = self._draw_fresh(world.rng, c[a:b], idx[a:b])
 
-    def settle(self, stack, calls, targets, outcomes):
-        for s, e, c in calls.blocks():
-            self.list_index[c.astype(np.intp)] += 1
+    def settle(self, stack, c, targets, outcomes):
+        self.list_index[c.astype(np.intp)] += 1
 
 
 class _PushRules(_Rules):
@@ -569,11 +548,8 @@ class _PushRules(_Rules):
 
     KIND = _K_RANDOM
 
-    def draw(self, stack, calls):
-        targets = np.empty(len(calls.callers), dtype=np.int32)
-        for s, e, c in calls.blocks():
-            targets[s:e] = _random_targets(stack, calls, s, e)
-        return targets
+    def draw(self, stack, calls, s, e, c, out):
+        out[:] = _random_targets(stack, calls, s, e)
 
 
 # Each protocol's rules, by name.
@@ -642,8 +618,8 @@ class SimulationState:
                 raise ValueError(f"crash schedule node {node} out of range")
             if node == start:
                 raise ValueError("the starting node cannot be crashed")
-            if crash_round < 0:
-                raise ValueError(f"crash round {crash_round} is negative")
+            if not 0 <= crash_round < 2**63:
+                raise ValueError(f"crash round {crash_round} is negative or not below 2**63")
         ordered = sorted(self.crash_schedule.items(), key=lambda kv: (kv[1], kv[0]))
         self._crash_nodes = np.array([node for node, _ in ordered], dtype=np.int64)
         self._crash_rounds = [rnd for _, rnd in ordered]
@@ -731,27 +707,6 @@ def _empty_round(state: SimulationState) -> bool:
     return state._live_uninformed > 0
 
 
-def _per_world_counts(outcomes: np.ndarray, bounds: list[int]):
-    """Each world's informing and crashed-target calls, world ``j``'s calls
-    being ``outcomes[bounds[j]:bounds[j + 1]]``, counted block by block."""
-    counts = np.zeros((2, len(bounds) - 1), dtype=np.int64)
-    for s in range(0, bounds[-1], _BLOCK_CALLS):
-        block = outcomes[s : s + _BLOCK_CALLS]
-        # The calling worlds that have calls in the block, and where in it
-        # each one's calls begin.
-        a = bisect.bisect_right(bounds, s) - 1
-        b = bisect.bisect_left(bounds, s + len(block))
-        cuts = np.maximum(np.array(bounds[a:b]) - s, 0)
-        for row, code in enumerate((_O_INFORMED, _O_CRASHED)):
-            hits = block == code
-            # ``reduceat`` costs about five times ``count_nonzero``.
-            if b - a == 1:
-                counts[row, a] += np.count_nonzero(hits)
-            else:
-                counts[row, a:b] += np.add.reduceat(hits, cuts, dtype=np.int64)
-    return counts.tolist()
-
-
 def _informed(status: np.ndarray) -> np.ndarray:
     """The informed entries, ascending, as int32, found block by block."""
     blocks = [status[a : a + _BLOCK_CALLS] for a in range(0, len(status), _BLOCK_CALLS)]
@@ -763,10 +718,11 @@ def _informed(status: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _inform_first(stack: _Stack, outcomes: np.ndarray, at: np.ndarray, entries: np.ndarray) -> None:
+def _inform_first(stack: _Stack, outcomes: np.ndarray, at: np.ndarray, entries: np.ndarray):
     """Code the calls ``at``, in serial order, to target ``entries``: the
     first at each target still uninformed informs it (a scatter-min into
-    the first-writer scratch, reset at once), the others find it informed."""
+    the first-writer scratch, reset at once), the others find it informed.
+    Returns each world's count of informing calls."""
     status, first = stack._status, stack._first_serial
     # As int32, the scratch's dtype: ``np.minimum.at`` is fast only then.
     positions = np.arange(len(at), dtype=np.int32)
@@ -777,13 +733,16 @@ def _inform_first(stack: _Stack, outcomes: np.ndarray, at: np.ndarray, entries: 
     first[entries] = _NO_SERIAL
     # ``_O_INFORMED`` is 0 and ``_O_ALREADY`` 1.
     outcomes[at] = np.subtract(_O_ALREADY, won, dtype=np.int8)
-    status[entries.compress(won)] = _INFORMED
+    winners = entries.compress(won)
+    status[winners] = _INFORMED
+    return np.bincount(winners // stack.n, minlength=stack.count)
 
 
-def _resolve(stack: _Stack, calls: _Calls, targets: np.ndarray, order) -> np.ndarray:
+def _resolve(stack: _Stack, calls: _Calls, targets: np.ndarray, order):
     """The int8 outcome codes of the round's calls, given their target ids
-    in caller order and their serialization ``order``; marks the targets
-    they inform.
+    in caller order and their serialization ``order``, and each world of
+    the stack's informing and crashed-target calls, as lists of ints;
+    marks the targets they inform.
 
     Targets crashed before the round stay crashed; among calls to targets
     uninformed at round start, the first at each target in serial order
@@ -796,20 +755,23 @@ def _resolve(stack: _Stack, calls: _Calls, targets: np.ndarray, order) -> np.nda
     """
     status, k = stack._status, len(targets)
     outcomes = np.empty(k, dtype=np.int8)
+    informs, crashes = np.zeros((2, stack.count), dtype=np.int64)
     for s in range(0, k, _BLOCK_CALLS):
         block = slice(s, s + _BLOCK_CALLS)
         entries = calls.entries(targets[block], block)
-        _STATUS_OUTCOMES.take(status.take(entries), out=outcomes[block])
+        coded = _STATUS_OUTCOMES.take(status.take(entries), out=outcomes[block])
+        crashed = entries.compress(coded == _O_CRASHED)
+        if len(crashed):
+            crashes += np.bincount(crashed // stack.n, minlength=stack.count)
         if order is None:
-            opened = np.flatnonzero(outcomes[block] == _O_INFORMED)
-            _inform_first(stack, outcomes, opened + s, entries.take(opened))
-    if order is None:
-        return outcomes
-    for s in range(0, k, _BLOCK_CALLS):
-        at = order[s : s + _BLOCK_CALLS]
-        at = at.compress(outcomes.take(at) == _O_INFORMED).astype(np.intp)
-        _inform_first(stack, outcomes, at, calls.entries(targets.take(at), at))
-    return outcomes
+            opened = np.flatnonzero(coded == _O_INFORMED)
+            informs += _inform_first(stack, outcomes, opened + s, entries.take(opened))
+    if order is not None:
+        for s in range(0, k, _BLOCK_CALLS):
+            at = order[s : s + _BLOCK_CALLS]
+            at = at.compress(outcomes.take(at) == _O_INFORMED).astype(np.intp)
+            informs += _inform_first(stack, outcomes, at, calls.entries(targets.take(at), at))
+    return outcomes, informs.tolist(), crashes.tolist()
 
 
 def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
@@ -819,18 +781,19 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     In each world, crashes scheduled for this round take effect first.
     Then the protocol's rules draw every caller's target, a fresh random
     permutation serializes the world's calls, the first call in serial
-    order to reach each uninformed target informs it, and the protocol's
+    order to reach each uninformed target informs it (resolution counts
+    each world's informing and crashed-target calls), and the protocol's
     rules settle the callers' state.  Each world draws from its own
-    generator; the rest runs once over all the worlds' calls, block by
-    block.  The permutations are read only to find those first calls and
-    to write kept logs in serial order, so they are laid out only when the
-    rules read the outcomes or a world keeps a log; otherwise each world's
-    generator takes the permutation's draws on the stack's zero-stride
-    view, and the first calls in caller order inform: the informed set,
-    the round's counts and the rules' state come out the same.
-    ``tests/reference_engine.py`` applies the same calls one by one; the
-    test suite asserts that both produce the same records, state, and RNG
-    consumption.
+    generator; the rest runs once over all the worlds' calls, each rules
+    step block by block in caller order.  The permutations are read only
+    to find those first calls and to write kept logs in serial order, so
+    they are laid out only when the rules read the outcomes or a world
+    keeps a log; otherwise each world's generator takes the permutation's
+    draws on the stack's zero-stride view, and the first calls in caller
+    order inform: the informed set, the round's counts and the rules' state
+    come out the same.  ``tests/reference_engine.py`` applies the same
+    calls one by one; the test suite asserts that both produce the same
+    records, state, and RNG consumption.
     """
     stack, rules = worlds[0]._stack, worlds[0]._rules
     executed_round = worlds[0].round + 1
@@ -860,7 +823,9 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
         callers = np.concatenate([callers[a:b] for a, b in segments])
     bounds = list(itertools.accumulate((b - a for a, b in segments), initial=0))
     calls = _Calls(stack, calling, bounds, callers)
-    targets = rules.draw(stack, calls)
+    targets = np.empty(len(callers), dtype=np.int32)
+    for s, e, c in calls.blocks():
+        rules.draw(stack, calls, s, e, c, targets[s:e])
     # ``permutation(k)`` is ``shuffle(arange(k))``: shuffling each world's
     # slice of one ``arange`` draws its permutation, offset to its calls.
     # Where nothing reads the order, the zero-stride view takes its draws.
@@ -872,21 +837,23 @@ def _execute_rounds(worlds: Sequence[SimulationState]) -> list[bool]:
     order = np.arange(len(callers), dtype=dtype) if laid_out else None
     for world, a, b in zip(calling, bounds, bounds[1:]):
         world.rng.shuffle(order[a:b] if laid_out else stack._unread_order[: b - a])
-    outcomes = _resolve(stack, calls, targets, order)
+    outcomes, informs, crashes = _resolve(stack, calls, targets, order)
     if any(logged):
-        columns = calls.caller_ids(), targets, rules.kinds(calls), outcomes
+        kinds = np.empty(len(callers), dtype=np.int8)
+        for s, e, c in calls.blocks():
+            rules.kinds(c, kinds[s:e])
+        columns = calls.caller_ids(), targets, kinds, outcomes
         for world, keeps, a, b in zip(calling, logged, bounds, bounds[1:]):
             if keeps:
                 world.log.append_round(executed_round, *(x.take(order[a:b]) for x in columns))
-        del columns
+        del columns, kinds
     # Settle with the serialization freed: together they would set the
     # round's peak memory.
     del order
-    rules.settle(stack, calls, targets, outcomes)
-
-    informs, crashes = _per_world_counts(outcomes, bounds)
-    for world, a, b, informed, crashed in zip(calling, bounds, bounds[1:], informs, crashes):
-        world._finish_round(b - a, informed, crashed)
+    for s, e, c in calls.blocks():
+        rules.settle(stack, c, targets[s:e], outcomes[s:e])
+    for world, a, b in zip(calling, bounds, bounds[1:]):
+        world._finish_round(b - a, informs[world._index], crashes[world._index])
     return stalled
 
 

@@ -118,7 +118,7 @@ def verify_trace(
 
     Violations list the generic checks by (call, check) in trace order,
     then the protocol's rules caller by caller.  ``ValueError`` if ``n`` is
-    below 1 or ``start`` is not a node id in ``[0, n)``.
+    below 1, ``start`` is not in ``[0, n)`` or a crash round exceeds int64.
     """
     columns = CallRecord.columns_of(records)
     m = len(columns.round)
@@ -128,6 +128,9 @@ def verify_trace(
         raise ValueError(f"n must be >= 1, got {n}")
     if start is not None and n is not None and not 0 <= start < n:
         raise ValueError(f"start {start} out of range for n={n}")
+    for crash_round in (crash_schedule or {}).values():
+        if not -_INT64_MAX - 1 <= crash_round <= _INT64_MAX:
+            raise ValueError(f"crash round {crash_round} does not fit int64")
     if not m:
         return VerificationReport(0, n, start, ())
     if start is None and columns.round[0] == 1:

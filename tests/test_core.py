@@ -166,8 +166,11 @@ def test_init_rejects_crashed_start_or_negative_round():
     for node in (-1, 4):
         with pytest.raises(ValueError, match=f"crash schedule node {node} out of range"):
             init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={node: 1})
-    with pytest.raises(ValueError):
-        init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={1: -1})
+    for crash_round in (-1, 2**63, 2**70):
+        with pytest.raises(ValueError, match=f"crash round {crash_round} is negative or not"):
+            init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={1: crash_round})
+    # The largest round an int64 holds is a crash round.
+    init_simulation(Hybrid(1), 4, 0, seed=7, crash_schedule={1: 2**63 - 1})
 
 
 def test_init_same_seed_same_state():
@@ -932,26 +935,41 @@ def test_oversized_stack_is_refused_before_allocating(monkeypatch):
 
 
 def test_settle_sees_what_the_log_records(monkeypatch):
-    state = init_simulation(
-        Hybrid(2), 64, 0, seed=5, crash_schedule={i: 3 for i in range(20, 40)}, keep_log=True
-    )
-    settle, seen = state._rules.settle, {}
+    # ``settle`` runs once per block of a round's calls, in caller order;
+    # blocks of 7 calls cut the stack's three worlds.  Taken block by block,
+    # each world's calls, ids less the world's base, are its log's rows of
+    # that round sorted by caller.
+    monkeypatch.setattr("rumorsim.core._BLOCK_CALLS", 7)
+    n, crashes = 64, {i: 3 for i in range(20, 40)}
+    worlds = init_stack(Hybrid(2), n, 0, [5, 6, 7], [crashes] * 3, keep_log=True)
+    settle, seen, cuts = worlds[0]._rules.settle, {}, 0
 
-    def spy(stack, calls, targets, outcomes):
-        seen[state.round + 1] = (calls.caller_ids().copy(), targets.copy(), outcomes.copy())
-        settle(stack, calls, targets, outcomes)
+    def spy(stack, c, targets, outcomes):
+        nonlocal cuts
+        owners = c // n
+        cuts += owners[0] != owners[-1]
+        for w in np.unique(owners).tolist():
+            mine = owners == w
+            # A calling world's round is counted only after ``settle``.
+            seen.setdefault((w, worlds[w].round + 1), []).append(
+                (c[mine] - w * n, targets[mine], outcomes[mine]))
+        settle(stack, c, targets, outcomes)
 
-    monkeypatch.setattr(state._rules, "settle", spy)
-    summary = run(state)
-    assert summary.crashed_target_calls > 0 and summary.encounter_calls > 0
-    columns = state.log.columns
-    assert sorted(seen) == sorted(set(columns.round.tolist()))
-    for rnd, (callers, targets, outcomes) in seen.items():
-        rows = np.flatnonzero(columns.round == rnd)
-        rows = rows[np.argsort(columns.caller[rows])]
-        assert np.array_equal(columns.caller[rows], callers), rnd
-        assert np.array_equal(columns.target[rows], targets), rnd
-        assert np.array_equal(columns.outcome[rows], outcomes), rnd
+    monkeypatch.setattr(worlds[0]._rules, "settle", spy)
+    summaries = run_stack(worlds)
+    assert cuts > 0
+    assert all(s.crashed_target_calls > 0 and s.encounter_calls > 0 for s in summaries)
+    for w, world in enumerate(worlds):
+        columns = world.log.columns
+        rounds = sorted(rnd for v, rnd in seen if v == w)
+        assert rounds == sorted(set(columns.round.tolist())), w
+        for rnd in rounds:
+            callers, targets, outcomes = map(np.concatenate, zip(*seen[w, rnd]))
+            rows = np.flatnonzero(columns.round == rnd)
+            rows = rows[np.argsort(columns.caller[rows])]
+            assert np.array_equal(columns.caller[rows], callers), (w, rnd)
+            assert np.array_equal(columns.target[rows], targets), (w, rnd)
+            assert np.array_equal(columns.outcome[rows], outcomes), (w, rnd)
 
 
 def assert_same_independent_lists(kernel_state, reference_state):

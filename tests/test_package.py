@@ -76,10 +76,11 @@ def test_every_per_node_array_is_read():
     # ``__init__`` must be read in ``core`` outside an ``__init__``; a store
     # into it by subscript is not a read.
     tree = ast.parse(pathlib.Path(rumorsim.core.__file__).read_text())
-    allocated = {}
+    allocated, bases = {}, {}
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
+        bases[cls.name] = [base.id for base in cls.bases if isinstance(base, ast.Name)]
         for init in cls.body:
             if isinstance(init, ast.FunctionDef) and init.name == "__init__":
                 allocated[cls.name] = {
@@ -91,9 +92,12 @@ def test_every_per_node_array_is_read():
     # The stack holds the status array, the kernel's scratch and the
     # zero-stride view shuffled for a serial order nothing reads (8 bytes
     # whatever n); the rules hold every protocol's own state.
+    def held(name):  # a class's arrays, its base classes' included
+        return allocated.get(name, set()).union(*map(held, bases.get(name, ())))
+
     assert allocated["_Stack"] == {"_status", "_first_serial", "_unread_order"}
-    assert allocated["_HybridRules"] == {"next_target", "encounters"}
-    assert allocated["_SharedListRules"] == {"next_target"}
+    assert held("_HybridRules") == {"next_target", "encounters"}
+    assert held("_SharedListRules") == {"next_target"}
     assert "_PushRules" not in allocated
     skipped = set()
     for node in ast.walk(tree):

@@ -283,6 +283,15 @@ def test_impossible_n_or_start_is_an_error_not_a_violation(options, message):
         verify_trace(records, **options)
 
 
+def test_crash_round_beyond_int64_is_an_error_not_an_overflow():
+    state = init_simulation(Hybrid(2), 8, 0, seed=1, crash_schedule={3: 2**63 - 1}, keep_log=True)
+    run(state)
+    assert verify_trace(state.log, spec=Hybrid(2), crash_schedule=state.crash_schedule).ok
+    for crash_round in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match=f"crash round {crash_round} does not fit int64"):
+            verify_trace(state.log, crash_schedule={3: crash_round})
+
+
 def test_huge_node_ids_cost_memory_for_the_trace_only():
     huge = 10**15
     records = [
